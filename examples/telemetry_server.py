@@ -1,9 +1,9 @@
-"""The full telemetry loop: router + resident pool + introspection server.
+"""The full telemetry loop: service + resident pool + introspection server.
 
-Boots the online serving stack — a :class:`ShardRouter` fronting per-shard
-:class:`AlignmentService`\\ s for score/align traffic and a resident
-:class:`ShardWorkerPool` for searches — with the whole observability
-surface wired up: tracing enabled, SLOs declared on the service config,
+Boots the online serving stack — one ``AlignmentService(pool=...)`` that
+runs score/align traffic on its own engine and serves searches from a
+resident :class:`ShardWorkerPool` — with the whole observability surface
+wired up: tracing enabled, SLOs declared on the service config,
 health probes installed, and an :class:`IntrospectionServer` scraping it
 all over HTTP.  Drives live traffic, then fetches every endpoint and
 checks it (the trace payload must pass ``validate_chrome_trace``).
@@ -32,9 +32,9 @@ from repro.obs import (
     enable_tracing,
     validate_chrome_trace,
 )
-from repro.serve import Priority, ServiceOverloadedError
+from repro.serve import AlignmentService, Priority, ServiceOverloadedError
 from repro.serve.service import ServiceConfig
-from repro.shard import ShardRouter, ShardWorkerPool
+from repro.shard import ShardWorkerPool
 from repro.util.rng import make_rng
 from repro.workloads import MutationModel, mutate, random_genome
 
@@ -70,49 +70,47 @@ async def drive(args, ref, queries, pool):
             ),
         ),
     )
-    router = ShardRouter(
-        args.shards, pool=pool, search_kwargs={"k": args.top}, config=config
-    )
+    svc = AlignmentService(pool=pool, search_kwargs={"k": args.top}, config=config)
     server = IntrospectionServer(
-        registry=router.scrape_registry,
-        health=router.health,
-        slo=router.slo,
+        registry=svc.scrape_registry,
+        health=svc.health,
+        slo=svc.slo,
         port=args.port,
     )
-    async with router, server:
+    async with svc, server:
         print(f"introspection server: {server.url}\n")
 
-        hits = [await router.submit_search(q) for q in queries]
+        hits = [await svc.submit_search(q) for q in queries]
         print(f"searches: {len(hits)} queries, "
               f"{sum(len(h) for h in hits)} hits via the resident pool")
         for _ in range(args.requests):
-            await router.submit(queries[0], queries[1 % len(queries)])
+            await svc.submit(queries[0], queries[1 % len(queries)])
         print(f"scores:   {args.requests} NORMAL requests")
 
         shed = 0
         if args.burn:
-            router.slo.alerts(force=True)  # re-evaluate now, not next bin
-            alerts = router.slo.alerts()
+            svc.slo.alerts(force=True)  # re-evaluate now, not next bin
+            alerts = svc.slo.alerts()
             print(f"\nburn injected: {len(alerts)} alert(s) active")
             for alert in alerts:
                 print(f"  {alert.objective}/{alert.window}: "
                       f"short {alert.burn_short:.0f}x long {alert.burn_long:.0f}x "
                       f"(threshold {alert.threshold}x)")
-            assert router.slo.fast_burn_active(), "fast pair should be alerting"
+            assert svc.slo.fast_burn_active(), "fast pair should be alerting"
             for _ in range(4):
                 try:
-                    await router.submit(
+                    await svc.submit(
                         queries[0], queries[0], priority=Priority.BULK
                     )
                 except ServiceOverloadedError:
                     shed += 1
-            score = await router.submit(
+            score = await svc.submit(
                 queries[0], queries[0], priority=Priority.INTERACTIVE
             )
             assert shed == 4, "BULK should be shed while burning"
             print(f"shed:     {shed}/4 BULK requests refused at admission; "
                   f"INTERACTIVE still resolves (score {score})")
-            assert router.slo.budget("interactive-latency")["bad"] == 0
+            assert svc.slo.budget("interactive-latency")["bad"] == 0
 
         print("\nendpoint checks:")
         for path, expect in (

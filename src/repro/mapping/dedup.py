@@ -20,7 +20,7 @@ its **local** bounded top-K, which may retain hits the global top-K
 evicts; deduping the union of shard placements directly could therefore
 let an evicted hit's placement sneak into a freed slot.
 :func:`merge_mapped` — the one merge entry point, used by the
-single-process mapper, the worker pool and the shard router alike —
+single-process mapper and the worker pool alike —
 replays the *hit-level* retention first (every placement carries its
 source hit), keeps only placements whose hit survives the global merge,
 and dedups those: bit-identical to single-process mapping by the same

@@ -26,7 +26,7 @@ all cheap enough to ship in the serving path:
   ``/tracez``, ``/logz`` and ``/varz``.
 
 The four serving layers (engine stages, search pipeline, asyncio
-service, shard pool/router) are instrumented against the process-wide
+service, shard pool) are instrumented against the process-wide
 defaults: :func:`get_tracer`, :func:`get_registry`, :func:`get_logger`.
 """
 

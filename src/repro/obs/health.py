@@ -4,8 +4,7 @@ A serving process is "up" only when all of its layers are: the engine's
 executor pool can still run kernels, the service's admission queue is not
 wedged at capacity, the shard pool's worker processes answer PINGs.  This
 module is the registry those layers install probes into, and the verdict
-composition the ``/healthz`` and ``/readyz`` endpoints (and the router's
-admission gate) read:
+composition the ``/healthz`` and ``/readyz`` endpoints read:
 
 * a **probe** is a named zero-argument callable returning a
   :class:`ProbeResult` (or a bare bool); a probe that *raises* is an

@@ -24,9 +24,9 @@ Design constraints, deliberately:
   work happens on the event loop;
 * **composable sources** — each surface is injected (registry, tracer,
   health registry, SLO tracker, log sink, varz callable) and may be a
-  zero-argument callable re-resolved per request, so a router can hand
-  over its merged per-shard scrape without the server knowing what a
-  router is.
+  zero-argument callable re-resolved per request, so a service can hand
+  over its merged process + service scrape without the server knowing
+  what a service is.
 
 Bind to port 0 (the default) to let the OS pick; :attr:`~IntrospectionServer.port`
 and :attr:`~IntrospectionServer.url` report where it landed.
@@ -69,8 +69,8 @@ class IntrospectionServer:
     ----------
     registry:
         :class:`~repro.obs.metrics.MetricsRegistry` or a callable
-        returning one per scrape (e.g. ``router.scrape_registry`` for a
-        merged per-shard view).  Defaults to the process registry.
+        returning one per scrape (e.g. ``service.scrape_registry`` for a
+        merged process + service view).  Defaults to the process registry.
     tracer:
         Span source for ``/tracez``; defaults to the process tracer.
     health:

@@ -1,7 +1,7 @@
 """Lightweight cross-process span tracing for the serving stack.
 
 One request crosses four layers — client facade, asyncio service
-admission, router fan-out, pool worker processes — each with its own
+admission, pool dispatch, pool worker processes — each with its own
 clocks and threads.  This module stitches them into **one trace**:
 
 * a :class:`Span` records what ran (name, attrs), where (pid/tid/process

@@ -9,7 +9,6 @@ from repro.perf.report import (
     format_table,
     mapping_stats_table,
     pipeline_stats_table,
-    router_stats_table,
     service_stats_table,
     shard_stats_table,
     snapshot,
@@ -20,7 +19,6 @@ __all__ = [
     "cache_stats_table",
     "mapping_stats_table",
     "pipeline_stats_table",
-    "router_stats_table",
     "service_stats_table",
     "shard_stats_table",
     "snapshot",

@@ -20,7 +20,6 @@ __all__ = [
     "service_stats_table",
     "shard_stats_table",
     "pool_stats_table",
-    "router_stats_table",
     "trace_tree",
     "snapshot",
     "CodeSharing",
@@ -334,57 +333,6 @@ def pool_stats_table(pool_or_stats, title: str = "Shard worker pool") -> str:
     return out
 
 
-def router_stats_table(router, title: str = "Shard router") -> str:
-    """Aggregate + per-shard serving accounting for a shard router.
-
-    ``router`` is a :class:`repro.shard.router.ShardRouter`; the aggregate
-    latency percentiles come from the pooled per-shard reservoirs.
-    """
-    snap = router.stats.snapshot()
-    agg = format_table(
-        ("metric", "value"),
-        [
-            ("shards", snap["shards"]),
-            ("submitted", snap["submitted"]),
-            ("completed", snap["completed"]),
-            ("failed", snap["failed"]),
-            (
-                "rejected",
-                ", ".join(f"{k}={v}" for k, v in sorted(snap["rejected"].items()))
-                or "0",
-            ),
-            ("batches dispatched", snap["batches"]),
-            ("mean batch occupancy", f"{snap['mean_occupancy']:.1f}"),
-            (
-                "latency p50 / p99 (ms)",
-                f"{snap['latency_p50_ms']:.2f} / {snap['latency_p99_ms']:.2f}",
-            ),
-        ],
-        title=title,
-    )
-    rows = [
-        (
-            i,
-            s["submitted"],
-            s["completed"],
-            s["batches"],
-            f"{s['mean_occupancy']:.1f}",
-            f"{s['latency_p99_ms']:.2f}",
-        )
-        for i, s in enumerate(snap["per_shard"])
-    ]
-    per_shard = format_table(
-        ("shard", "submitted", "completed", "batches", "mean occ", "p99 ms"),
-        rows,
-        title="Per-shard services",
-    )
-    out = agg + "\n\n" + per_shard
-    pool = getattr(router, "pool", None)
-    if pool is not None:
-        out += "\n\n" + pool_stats_table(pool, title="Resident search pool")
-    return out
-
-
 def trace_tree(spans, title: str = "Trace") -> str:
     """Plain-text tree of one (or several) traces' span hierarchies.
 
@@ -431,7 +379,6 @@ def snapshot(
     *,
     pipelines=None,
     services=None,
-    routers=None,
     pools=None,
     shard_runs=None,
     registry=None,
@@ -441,7 +388,7 @@ def snapshot(
 
     Each keyword takes an iterable of the corresponding stats holders (or
     objects exposing ``.stats``): pipeline/stage tables, serving fronts,
-    routers, worker pools, and sharded-run summaries.  ``registry``
+    worker pools, and sharded-run summaries.  ``registry``
     defaults to the process-wide :func:`repro.obs.get_registry`;
     ``tracer`` (optional) contributes the finished-span count and the
     rendered trace tree.  The result is ``json.dumps``-ready — the single
@@ -456,7 +403,6 @@ def snapshot(
     doc: dict = {
         "pipelines": [stats_of(p) for p in (pipelines or ())],
         "services": [stats_of(s) for s in (services or ())],
-        "routers": [stats_of(r) for r in (routers or ())],
         "pools": [stats_of(p) for p in (pools or ())],
         "shard_runs": [stats_of(r) for r in (shard_runs or ())],
     }

@@ -392,9 +392,9 @@ def classify_database(database, *, materialize: bool = False):
     — an iterator or list of :class:`~repro.workloads.chunks.Chunk`),
     ``"records"`` (a list of objects with ``name``/``sequence``), or
     ``"sequence"`` (a raw encoded array / string).  Every consumer of a
-    ``database`` argument — :func:`search`, the shard payload builder, the
-    serving shard router — classifies through here, so they cannot drift
-    on what "anything search accepts" means.
+    ``database`` argument — :func:`search` and the shard payload
+    builders — classifies through here, so they cannot drift on what
+    "anything search accepts" means.
 
     By contract an *iterator* database yields chunks; with
     ``materialize=False`` (the streaming default) it is passed through

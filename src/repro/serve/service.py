@@ -2,23 +2,33 @@
 
 :class:`AlignmentService` turns the offline batch engine into an online
 service.  Callers ``await service.submit(query, subject)`` (or
-``submit_align`` / ``submit_search``); the service admits the request
-against a bounded queue (per-priority capacity, optional per-request
-deadline), parks it in the adaptive shape-bucketed
+``submit_align`` / ``submit_search`` / ``submit_map``); the service admits
+the request against a bounded queue (per-priority capacity, optional
+per-request deadline), parks pair work in the adaptive shape-bucketed
 :class:`~repro.serve.batcher.MicroBatcher`, and dispatches full-or-expired
 buckets to a small thread pool where the batch runs through
-:meth:`repro.engine.ExecutionEngine.submit_prebatched` (scores),
-:meth:`~repro.engine.ExecutionEngine.align_batch` (alignments) or
-:func:`repro.search.search_one` (database search) — off the event loop, so
-the loop keeps admitting while NumPy relaxes lanes.  Per-request asyncio
-futures are resolved as batches complete.
+:meth:`repro.engine.ExecutionEngine.submit_prebatched` (scores) or
+:meth:`~repro.engine.ExecutionEngine.align_batch` (alignments) — off the
+event loop, so the loop keeps admitting while NumPy relaxes lanes.
+Per-request asyncio futures are resolved as batches complete.
+
+Searches and read mappings are single-query kinds: each runs as one call
+on a dispatch thread, against either a local ``database=``
+(:func:`repro.search.search_one` / :func:`repro.mapping.map_one`) or a
+borrowed resident :class:`~repro.shard.pool.ShardWorkerPool` given as
+``pool=`` (``pool.search_topk`` / ``pool.map_topk``).  Both modes share
+one admit → deadline-gated execute → resolve path, so every request kind
+gets the same admission, priorities, deadlines, SLO accounting and
+drain-on-close.
 
 Semantics worth knowing:
 
 * **Deadlines** bound *admission-to-execution*: a request whose deadline
-  passes while it waits in a bucket is rejected with
-  :class:`DeadlineExceededError` and never executes.  A request that
-  reaches execution runs to completion even if slow.
+  passes while it waits in a bucket or in the dispatch queue is rejected
+  with :class:`DeadlineExceededError` and never executes.  A request that
+  reaches execution runs to completion even if slow; for pool-served
+  requests the pool's own constructor ``timeout`` still bounds the
+  worker gather.
 * **Priorities** (:class:`~repro.serve.batcher.Priority`): BULK traffic is
   admitted only below ``bulk_fraction`` of the queue capacity and its
   buckets flush last; INTERACTIVE/NORMAL share the full queue.
@@ -27,13 +37,15 @@ Semantics worth knowing:
   flushes every bucket, resolves all in-flight futures, then shuts the
   dispatch pool and any owned engines down deterministically; ``close()``
   is idempotent and new submissions after it raise
-  :class:`ServiceClosedError`.
+  :class:`ServiceClosedError`.  A borrowed ``pool`` is never closed — its
+  lifetime belongs to whoever built it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
@@ -41,9 +53,11 @@ from dataclasses import dataclass
 from repro.engine.engine import ExecutionEngine
 from repro.engine.stages import Batch, Request
 from repro.obs import get_logger, get_tracer
+from repro.obs.health import HealthRegistry, engine_probe, pool_probe, service_probe
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.serve.batcher import MicroBatcher, PendingRequest, Priority
 from repro.serve.stats import ServiceStats
-from repro.util.checks import ReproError, check_positive
+from repro.util.checks import ReproError, ValidationError, check_positive
 from repro.util.encoding import encode
 
 __all__ = [
@@ -172,19 +186,34 @@ class AlignmentService:
         Threads executing dispatched batches (separate from the engine's
         kernel pool, so a pipeline-driving search can never deadlock the
         batches' threads).
-    database / search_kwargs / map_kwargs:
-        Reference database (anything :func:`repro.search.search` accepts;
-        iterators are materialized once) and default keyword arguments for
-        ``submit_search`` / ``submit_map`` respectively.
+    database:
+        Reference database served locally (anything
+        :func:`repro.search.search` accepts; iterators are materialized
+        once).
+    pool:
+        A borrowed :class:`~repro.shard.pool.ShardWorkerPool` that serves
+        ``submit_search`` / ``submit_map`` from its resident workers
+        instead (``pool.search_topk([q])`` / ``pool.map_topk([q])``).
+        Mutually exclusive with ``database``; closing the service never
+        closes the pool.  The pool serializes its calls on an internal
+        lock, so concurrent pool-served requests execute one at a time.
+    search_kwargs / map_kwargs:
+        Default keyword arguments for ``submit_search`` / ``submit_map``.
     config:
         :class:`ServiceConfig` hardening knobs — per-bucket backend
         routing (``simd`` full lanes / ``rowscan`` stragglers) is off by
         default; ``config.slos`` declares the SLO contract.
     slo:
         An explicit :class:`~repro.obs.slo.SLOTracker` to feed (e.g. one
-        shared across a router's per-shard services).  Defaults to a
-        private tracker built from ``config.slos``, or None (no SLO
-        accounting, no shedding) when no objectives are declared.
+        an introspection server also reads).  Defaults to a private
+        tracker built from ``config.slos``, or None (no SLO accounting,
+        no shedding) when no objectives are declared.
+
+    The service also carries the operational surface: ``health`` is a
+    :class:`~repro.obs.health.HealthRegistry` with engine and service
+    probes (plus a pool probe when serving from one) for ``/healthz`` and
+    ``/readyz``, and :meth:`scrape_registry` merges the process registry
+    with the service's own for ``/metrics``.
     """
 
     def __init__(
@@ -199,6 +228,7 @@ class AlignmentService:
         bulk_fraction: float = 0.5,
         dispatch_workers: int = 4,
         database=None,
+        pool=None,
         search_kwargs: dict | None = None,
         map_kwargs: dict | None = None,
         config: ServiceConfig | None = None,
@@ -212,8 +242,6 @@ class AlignmentService:
             target_batch = engine.executor.lanes
         self.max_queue_depth = check_positive(max_queue_depth, "max_queue_depth")
         if not 0.0 <= bulk_fraction <= 1.0:
-            from repro.util.checks import ValidationError
-
             raise ValidationError(
                 f"bulk_fraction must be in [0, 1], got {bulk_fraction}"
             )
@@ -229,29 +257,37 @@ class AlignmentService:
         self.slo = slo
         self._shed = frozenset(self.config.shed_priorities)
         self._log = get_logger("serve.service")
+        if database is not None and pool is not None:
+            raise ValidationError("pass database= or pool=, not both")
         if database is not None and hasattr(database, "__next__"):
             database = list(database)  # an iterator would be consumed once
         self._database = database
-        self._search_kwargs = dict(search_kwargs or {})
-        if "engine" in self._search_kwargs:
-            from repro.util.checks import ValidationError
-
-            raise ValidationError(
-                "search_kwargs cannot carry 'engine': the service manages "
-                "per-scheme search engines itself"
-            )
-        self._map_kwargs = dict(map_kwargs or {})
-        if "engine" in self._map_kwargs:
-            from repro.util.checks import ValidationError
-
-            raise ValidationError(
-                "map_kwargs cannot carry 'engine': the service manages "
-                "per-scheme search engines itself"
-            )
+        self.pool = pool
+        self._defaults = {
+            "search": dict(search_kwargs or {}),
+            "map": dict(map_kwargs or {}),
+        }
+        for kind, defaults in self._defaults.items():
+            if "engine" in defaults:
+                raise ValidationError(
+                    f"{kind}_kwargs cannot carry 'engine': the service manages "
+                    "per-scheme search engines itself"
+                )
+        self.health = HealthRegistry()
+        # Engine death means restart (liveness); a saturated or closed
+        # admission queue means stop routing here (readiness).  The probe
+        # holds a weak proxy: a service -> health -> service cycle would
+        # keep a borrowed pool (and its queues) alive until a GC pass.
+        self.health.add_probe("engine", engine_probe(engine))
+        self.health.add_probe(
+            "service", service_probe(weakref.proxy(self)), liveness=False
+        )
+        if pool is not None:
+            self.health.add_probe("pool", pool_probe(pool))
         self._search_engines: dict = {}  # scheme cache_key → ExecutionEngine
         self._loop = None
         self._wake: asyncio.Event | None = None
-        self._pool: ThreadPoolExecutor | None = None
+        self._dispatch_pool: ThreadPoolExecutor | None = None
         self._flusher: asyncio.Task | None = None
         self._inflight: set = set()
         self._depth = 0  # admitted, not yet settled
@@ -281,7 +317,7 @@ class AlignmentService:
             raise ServiceClosedError("service is closed")
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
-        self._pool = ThreadPoolExecutor(
+        self._dispatch_pool = ThreadPoolExecutor(
             max_workers=self.dispatch_workers, thread_name_prefix="repro-serve"
         )
         self._flusher = self._loop.create_task(self._flush_loop())
@@ -308,9 +344,9 @@ class AlignmentService:
             with suppress(asyncio.CancelledError):
                 await self._flusher
             self._flusher = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        if self._dispatch_pool is not None:
+            self._dispatch_pool.shutdown(wait=True)
+            self._dispatch_pool = None
         for eng in self._search_engines.values():
             eng.close()
         self._search_engines.clear()
@@ -431,34 +467,17 @@ class AlignmentService:
         timeout: float | None = None,
         **overrides,
     ):
-        """Top-K database placements for one query (requires ``database=``).
+        """Top-K database placements for one query (needs ``database=`` or ``pool=``).
 
-        Routed to :func:`repro.search.search_one` on a dispatch thread;
-        search requests are not micro-batched (each drives its own
-        streaming pipeline) but share admission control and deadlines.
-        ``overrides`` update the service's default ``search_kwargs``;
-        a custom ``scheme`` gets its own cached search engine, while
-        ``engine`` is service-managed and may not be overridden.
+        Served by :func:`repro.search.search_one` on a dispatch thread, or
+        by ``pool.search_topk`` when the service fronts a pool; searches
+        are not micro-batched (each is one call) but share admission
+        control and deadlines.  ``overrides`` update the service's default
+        ``search_kwargs``; a custom ``scheme`` gets its own cached search
+        engine, while ``engine`` is service-managed and may not be
+        overridden.
         """
-        from repro.util.checks import ValidationError
-
-        if self._database is None:
-            raise ValidationError("service was created without a database")
-        if "engine" in overrides:
-            raise ValidationError(
-                "submit_search cannot override 'engine': the service manages "
-                "per-scheme search engines itself"
-            )
-        meta = dict(self._search_kwargs)
-        meta.update(overrides)
-        tracer = get_tracer()
-        with tracer.span("serve.submit_search"):
-            req = self._admit("search", query, None, priority, timeout, meta=meta)
-            req.trace = tracer.inject()
-            task = self._loop.create_task(self._run_search(req))
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
-            return await req.future
+        return await self._submit_single("search", query, priority, timeout, overrides)
 
     async def submit_map(
         self,
@@ -466,45 +485,62 @@ class AlignmentService:
         *,
         priority=Priority.NORMAL,
         timeout: float | None = None,
-        partial: bool = False,
         **overrides,
     ):
-        """Read placements for one read (requires ``database=``).
+        """Read placements for one read (needs ``database=`` or ``pool=``).
 
-        Routed to :func:`repro.mapping.map_one` on a dispatch thread;
-        returns the read's deduped placements, best first.  ``overrides``
-        update the service's default ``map_kwargs`` (mapping fields like
+        Served by :func:`repro.mapping.map_one` on a dispatch thread, or by
+        ``pool.map_topk`` when the service fronts a pool; returns the
+        read's deduped placements, best first.  ``overrides`` update the
+        service's default ``map_kwargs`` (mapping fields like
         ``k``/``traceback`` and search fields like ``min_score`` both
         work; ``config=`` passes a whole
         :class:`~repro.mapping.MappingConfig`).  Admission control,
         priorities, deadlines and SLO accounting are shared with every
         other request kind.
-
-        ``partial=True`` returns the *pre-dedup* per-read placement lists
-        (each placement still carrying its source hit) instead — the form
-        a :class:`~repro.shard.router.ShardRouter` merges across shards
-        with :func:`repro.mapping.merge_mapped`.
         """
-        from repro.util.checks import ValidationError
+        return await self._submit_single("map", query, priority, timeout, overrides)
 
-        if self._database is None:
-            raise ValidationError("service was created without a database")
+    async def _submit_single(self, kind, query, priority, timeout, overrides):
+        """Admit one search/map request and await its dispatch-thread call."""
+        if self._database is None and self.pool is None:
+            raise ValidationError("service was created without a database or pool")
         if "engine" in overrides:
             raise ValidationError(
-                "submit_map cannot override 'engine': the service manages "
+                f"submit_{kind} cannot override 'engine': the service manages "
                 "per-scheme search engines itself"
             )
-        meta = dict(self._map_kwargs)
-        meta.update(overrides)
-        meta["__partial__"] = partial
+        meta = {**self._defaults[kind], **overrides}
         tracer = get_tracer()
-        with tracer.span("serve.submit_map"):
-            req = self._admit("map", query, None, priority, timeout, meta=meta)
+        with tracer.span(f"serve.submit_{kind}"):
+            req = self._admit(kind, query, None, priority, timeout, meta=meta)
             req.trace = tracer.inject()
-            task = self._loop.create_task(self._run_map(req))
+            task = self._loop.create_task(self._run_single(req))
             self._inflight.add(task)
             task.add_done_callback(self._inflight.discard)
             return await req.future
+
+    # -- settlement -----------------------------------------------------------
+    def _resolve(self, req: PendingRequest, result):
+        if not req.future.done():
+            req.future.set_result(result)
+            latency = self._loop.time() - req.submitted
+            self.stats.note_complete(latency)
+            self._slo_observe(req, latency_s=latency)
+
+    def _fail(self, req: PendingRequest, exc: BaseException):
+        self.stats.note_failed()
+        self._slo_observe(req, error=True)
+        if not req.future.done():
+            req.future.set_exception(exc)
+
+    def _expire(
+        self, req: PendingRequest, stage: str, detail="deadline passed before execution"
+    ):
+        self.stats.note_deadline(stage)
+        self._slo_observe(req, error=True)
+        if not req.future.done():
+            req.future.set_exception(DeadlineExceededError(detail))
 
     # -- dispatch -----------------------------------------------------------
     def _dispatch(self, bucket, cause: str):
@@ -514,12 +550,10 @@ class AlignmentService:
             if req.future.done():  # caller cancelled while buffered
                 continue
             if req.deadline is not None and now >= req.deadline:
-                self.stats.note_deadline("dispatch")
-                self._slo_observe(req, error=True)
-                req.future.set_exception(
-                    DeadlineExceededError(
-                        f"deadline passed {now - req.deadline:.4f}s before execution"
-                    )
+                self._expire(
+                    req,
+                    "dispatch",
+                    f"deadline passed {now - req.deadline:.4f}s before execution",
                 )
                 continue
             live.append(req)
@@ -586,33 +620,25 @@ class AlignmentService:
                 "serve.batch", parent=parent, kind=kind, cause=cause, size=len(live)
             ) as sp:
                 executable, expired, results = await self._loop.run_in_executor(
-                    self._pool, self._execute_kind, kind, shape, live, sp.context
+                    self._dispatch_pool,
+                    self._execute_kind,
+                    kind,
+                    shape,
+                    live,
+                    sp.context,
                 )
         except Exception as exc:
             for r in live:
-                self.stats.note_failed()
-                self._slo_observe(r, error=True)
-                if not r.future.done():
-                    r.future.set_exception(exc)
+                self._fail(r, exc)
             return
         if executable:
             # Occupancy counts what actually executed: requests expired by
             # the thread-side deadline gate never filled a lane.
             self.stats.note_batch(len(executable), cause)
         for r in expired:
-            self.stats.note_deadline("execute")
-            self._slo_observe(r, error=True)
-            if not r.future.done():
-                r.future.set_exception(
-                    DeadlineExceededError("deadline passed before execution")
-                )
-        now = self._loop.time()
+            self._expire(r, "execute")
         for r, res in zip(executable, results):
-            if not r.future.done():
-                r.future.set_result(int(res) if kind == "score" else res)
-                latency = now - r.submitted
-                self.stats.note_complete(latency)
-                self._slo_observe(r, latency_s=latency)
+            self._resolve(r, int(res) if kind == "score" else res)
 
     def _engine_for_search(self, scheme) -> ExecutionEngine:
         """Shared per-scheme search engine (loop thread only)."""
@@ -624,106 +650,62 @@ class AlignmentService:
             )
         return eng
 
-    def _execute_search(self, req: PendingRequest, engine, kwargs):
-        """Runs on a dispatch thread: deadline gate, then the search.
+    def _single_call(self, req: PendingRequest):
+        """Bind one search/map request to the call that serves it (loop thread).
 
-        The request's propagated carrier re-enters the trace here, so the
-        search pipeline's spans nest under the ``submit_search`` span even
-        though the thread never saw the loop's contextvars.
+        Resolving kwargs and per-scheme engines happens here, on the loop,
+        because the engine cache is not thread-safe; the returned
+        zero-argument callable runs on a dispatch thread.
         """
-        from repro.search.pipeline import search_one
-
-        now = self._loop.time()
-        if req.deadline is not None and now >= req.deadline:
-            return _EXPIRED
-        tracer = get_tracer()
-        with tracer.activate(req.trace), tracer.span("serve.execute_search"):
-            return search_one(req.query, self._database, engine=engine, **kwargs)
-
-    async def _run_search(self, req: PendingRequest):
-        from repro.search.pipeline import default_search_scheme
-
         kwargs = dict(req.meta)
+        pool = self.pool
+        if req.kind == "map":
+            from repro.mapping import map_one, resolve_config
+
+            cfg = resolve_config(kwargs.pop("config", None), **kwargs)
+            if pool is not None:
+                return lambda: pool.map_topk([req.query], config=cfg)[0]
+            engine = self._engine_for_search(cfg.search.resolved_scheme())
+            return lambda: map_one(req.query, self._database, engine=engine, config=cfg)
+        from repro.search.pipeline import default_search_scheme, search_one
+
+        if pool is not None:
+            return lambda: pool.search_topk([req.query], **kwargs)[0]
         scheme = kwargs.setdefault("scheme", default_search_scheme())
         if self.config.route_backends:
             # Route banded verify buckets like score buckets: full lanes on
             # the lane backend, stragglers on the per-pair sweep.
             kwargs.setdefault("route", self.config)
         engine = self._engine_for_search(scheme)
-        try:
-            hits = await self._loop.run_in_executor(
-                self._pool, self._execute_search, req, engine, kwargs
-            )
-        except Exception as exc:
-            self.stats.note_failed()
-            self._slo_observe(req, error=True)
-            if not req.future.done():
-                req.future.set_exception(exc)
-            return
-        if hits is _EXPIRED:
-            self.stats.note_deadline("execute")
-            self._slo_observe(req, error=True)
-            if not req.future.done():
-                req.future.set_exception(
-                    DeadlineExceededError("deadline passed before execution")
-                )
-            return
-        if not req.future.done():
-            req.future.set_result(hits)
-            latency = self._loop.time() - req.submitted
-            self.stats.note_complete(latency)
-            self._slo_observe(req, latency_s=latency)
+        return lambda: search_one(req.query, self._database, engine=engine, **kwargs)
 
-    def _execute_map(self, req: PendingRequest, engine, cfg, partial: bool):
-        """Runs on a dispatch thread: deadline gate, then the mapping."""
-        from repro.mapping import map_one, shard_map_placements
-        from repro.util.encoding import encode
+    def _execute_single(self, req: PendingRequest, call):
+        """Runs on a dispatch thread: deadline gate, then the bound call.
 
-        now = self._loop.time()
-        if req.deadline is not None and now >= req.deadline:
+        The request's propagated carrier re-enters the trace here, so the
+        search/map spans (and a pool's worker spans) nest under the
+        ``submit_*`` span even though the thread never saw the loop's
+        contextvars.
+        """
+        if req.deadline is not None and self._loop.time() >= req.deadline:
             return _EXPIRED
         tracer = get_tracer()
-        with tracer.activate(req.trace), tracer.span(
-            "serve.execute_map", partial=partial
-        ):
-            if partial:
-                per_read, _stats, _ext = shard_map_placements(
-                    [encode(req.query)], self._database, cfg, engine=engine
-                )
-                return per_read
-            return map_one(req.query, self._database, engine=engine, config=cfg)
+        with tracer.activate(req.trace), tracer.span(f"serve.execute_{req.kind}"):
+            return call()
 
-    async def _run_map(self, req: PendingRequest):
-        from repro.mapping import resolve_config
-
-        kwargs = dict(req.meta)
-        partial = kwargs.pop("__partial__", False)
-        config = kwargs.pop("config", None)
-        cfg = resolve_config(config, **kwargs)
-        engine = self._engine_for_search(cfg.search.resolved_scheme())
+    async def _run_single(self, req: PendingRequest):
         try:
-            placements = await self._loop.run_in_executor(
-                self._pool, self._execute_map, req, engine, cfg, partial
+            call = self._single_call(req)
+            result = await self._loop.run_in_executor(
+                self._dispatch_pool, self._execute_single, req, call
             )
         except Exception as exc:
-            self.stats.note_failed()
-            self._slo_observe(req, error=True)
-            if not req.future.done():
-                req.future.set_exception(exc)
+            self._fail(req, exc)
             return
-        if placements is _EXPIRED:
-            self.stats.note_deadline("execute")
-            self._slo_observe(req, error=True)
-            if not req.future.done():
-                req.future.set_exception(
-                    DeadlineExceededError("deadline passed before execution")
-                )
-            return
-        if not req.future.done():
-            req.future.set_result(placements)
-            latency = self._loop.time() - req.submitted
-            self.stats.note_complete(latency)
-            self._slo_observe(req, latency_s=latency)
+        if result is _EXPIRED:
+            self._expire(req, "execute")
+        else:
+            self._resolve(req, result)
 
     async def _flush_loop(self):
         """Single linger timer: dispatches buckets whose wait has expired."""
@@ -742,11 +724,26 @@ class AlignmentService:
                     await asyncio.wait_for(self._wake.wait(), timeout=delay)
 
     # -- introspection ------------------------------------------------------
-    def report(self) -> str:
-        """Service-level stats table (perf.report format)."""
-        from repro.perf.report import service_stats_table
+    def scrape_registry(self) -> MetricsRegistry:
+        """One merged registry for ``/metrics``: process + this service.
 
-        return service_stats_table(self)
+        The process-wide registry carries engine/search/pool
+        instrumentation; the service's own holds the ``serve_*`` counters.
+        Built fresh per scrape — the live registries keep the state.
+        """
+        out = MetricsRegistry()
+        out.merge(get_registry().snapshot())
+        out.merge(self.stats.registry.snapshot())
+        return out
+
+    def report(self) -> str:
+        """Service-level stats table (perf.report format), plus the pool's."""
+        from repro.perf.report import pool_stats_table, service_stats_table
+
+        out = service_stats_table(self)
+        if self.pool is not None:
+            out += "\n\n" + pool_stats_table(self.pool, title="Resident pool")
+        return out
 
     def __repr__(self):
         return (

@@ -50,10 +50,6 @@ class LatencyReservoir:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def values(self) -> list[float]:
-        """Copy of the retained sample (for pooled cross-service percentiles)."""
-        return list(self._sample)
-
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile over the retained sample (0 if empty)."""
         if not self._sample:
@@ -155,16 +151,6 @@ class ServiceStats:
 
     def note_failed(self):
         self._failed.inc()
-
-    def latency_sample(self) -> list[float]:
-        """Retained latency sample, copied under the lock.
-
-        The shard router pools these across services to compute aggregate
-        percentiles (averaging per-shard percentiles would understate the
-        tail).
-        """
-        with self._lock:
-            return self.latency.values()
 
     # -- reading: registry-backed views of the historical attributes --------
     @property

@@ -1,4 +1,4 @@
-"""repro.shard — multi-process sharded search and a serving shard router.
+"""repro.shard — multi-process sharded search over a resident worker pool.
 
 One Python process caps throughput at one GIL; this subsystem splits the
 work across processes along the natural partition — the reference chunk
@@ -16,12 +16,11 @@ to their single-process counterparts:
 * **offline** — :class:`ShardedSearch` fronts the pool: one-shot by
   default (cold pool per call — the historical spawn-per-search
   semantics), ``persistent=True`` to keep the pool warm across calls;
-* **online** — :class:`ShardRouter` fronts N
-  :class:`~repro.serve.AlignmentService` instances, routing score/align
-  requests to the least-loaded shard and fanning searches out to all of
-  them, behind the same ``submit_*`` surface
-  :class:`~repro.serve.SyncAlignmentClient` already speaks — or, given
-  ``pool=``, fans searches into a resident :class:`ShardWorkerPool`.
+* **online** — ``AlignmentService(pool=...)``
+  (:class:`~repro.serve.AlignmentService`) serves ``submit_search`` /
+  ``submit_map`` from a resident pool behind the same admission,
+  deadlines and SLO accounting as every other request.
+  :func:`ShardRouter` is kept as a short alias for it.
 """
 
 from repro.shard.plan import (
@@ -34,7 +33,7 @@ from repro.shard.plan import (
     fingerprint_database,
 )
 from repro.shard.pool import ShardWorkerPool
-from repro.shard.router import RouterStats, ShardRouter
+from repro.shard.router import ShardRouter
 from repro.shard.search import (
     ShardedSearch,
     ShardError,
@@ -49,7 +48,6 @@ __all__ = [
     "ChunkPayload",
     "PoolStats",
     "RecordPayload",
-    "RouterStats",
     "ShardError",
     "ShardPlan",
     "ShardRouter",

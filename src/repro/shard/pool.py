@@ -39,7 +39,7 @@ New, pool-only semantics:
   half of the policy).
 
 Thread safety: public methods serialize on an internal lock, so a pool
-can be shared by a serving front (e.g. ``ShardRouter(pool=...)``).
+can be shared by a serving front (e.g. ``AlignmentService(pool=...)``).
 """
 
 from __future__ import annotations
@@ -324,11 +324,11 @@ class ShardWorkerPool:
         ``search_topk(queries, database, ...)`` with the same parameters.
 
         ``carrier`` is an optional propagated trace position
-        (:meth:`~repro.obs.Tracer.inject` form).  Callers hopping threads
-        to reach the pool (the router's ``run_in_executor``) pass it
-        explicitly, because contextvars don't cross executor threads; the
-        pool's span — and, through the command protocol, every worker's
-        spans — then stitch into the caller's trace.
+        (:meth:`~repro.obs.Tracer.inject` form) for callers that reach
+        the pool on a thread without the trace context active; by default
+        the pool's span parents on the calling thread's current span.
+        Either way, through the command protocol, every worker's spans
+        stitch into the caller's trace.
         """
         t_run = time.perf_counter()
         enc_queries = [encode(q) for q in queries]

@@ -1,546 +1,17 @@
-"""Online shard router: one ``submit_*`` front over N alignment services.
-
-The serving counterpart of :class:`~repro.shard.search.ShardedSearch`: a
-:class:`ShardRouter` fronts several
-:class:`~repro.serve.service.AlignmentService` instances — one per shard,
-each owning a disjoint slice of the reference windows (same
-:func:`~repro.workloads.chunks.shard_of` assignment as the offline path)
-and its own engine + dispatch pool.
-
-Routing policy per request kind:
-
-* ``submit`` / ``submit_align`` (single-pair work — any shard can serve
-  it): **least-loaded** — the service with the smallest live queue depth
-  wins, round-robin breaking ties so idle services share warm-up traffic;
-* ``submit_search`` (the database is partitioned — every shard holds part
-  of the answer): **fan-out** — the query goes to all shards
-  concurrently, partial hit lists gather, and the same deterministic
-  top-K reducer that merges offline shards merges them here, so a routed
-  search equals a single-service search over the whole database bit for
-  bit.
-
-The router exposes the service surface (``start``/``drain``/``close``,
-``submit*``, ``capacity_for``, ``queue_depth``, ``stats``, ``report``), so
-:class:`~repro.serve.client.SyncAlignmentClient` drives it unchanged:
-``SyncAlignmentClient(service=ShardRouter(...))``.
-
-Given ``pool=``, the router fans searches into a resident
-:class:`~repro.shard.pool.ShardWorkerPool` instead of the in-process
-services: the pool's workers hold the published reference and warm
-engines, so repeated online searches skip both spawn and payload
-transfer.  Score/align traffic still routes least-loaded across the
-services.  The router *borrows* the pool — closing the router never
-closes the pool, whose lifetime belongs to whoever built it.
-"""
+"""``ShardRouter``: the historical name of a pool-served alignment service."""
 
 from __future__ import annotations
 
-import asyncio
+from repro.serve.service import AlignmentService
+from repro.util.checks import ValidationError
 
-from repro.obs import get_logger, get_tracer
-from repro.obs.health import HealthRegistry, engine_probe, pool_probe, service_probe
-from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.search.pipeline import _chunk_source, classify_database, resolve_windowing
-from repro.search.topk import TopKReducer
-from repro.serve.batcher import Priority
-from repro.serve.service import AlignmentService, ServiceOverloadedError
-from repro.util.checks import ValidationError, check_positive
-from repro.workloads.chunks import partition_chunks
-
-__all__ = ["ShardRouter", "RouterStats"]
+__all__ = ["ShardRouter"]
 
 
-class RouterStats:
-    """Aggregated view over the per-shard :class:`ServiceStats` objects.
-
-    Snapshot-only (the children keep the live counters): counts sum,
-    high-water marks take the max, and latency percentiles are computed
-    over the *pooled* reservoir samples rather than averaging per-shard
-    percentiles (which would understate the tail).
-    """
-
-    def __init__(self, services: list):
-        self._services = services
-
-    def snapshot(self) -> dict:
-        from repro.serve.stats import LatencyReservoir
-
-        snaps = [svc.stats.snapshot() for svc in self._services]
-        pooled: list[float] = []
-        for svc in self._services:
-            pooled.extend(svc.stats.latency_sample())
-        # One shared percentile definition: pour the pooled sample into a
-        # reservoir rather than re-deriving the rank formula here.
-        reservoir = LatencyReservoir(maxlen=max(1, len(pooled)))
-        for value in pooled:
-            reservoir.add(value)
-
-        def pct(p):
-            return reservoir.percentile(p) * 1e3
-
-        def merged_dict(key):
-            out: dict = {}
-            for s in snaps:
-                for cause, count in s[key].items():
-                    out[cause] = out.get(cause, 0) + count
-            return out
-
-        batches = sum(s["batches"] for s in snaps)
-        batched = sum(s["batched_requests"] for s in snaps)
-        return {
-            "shards": len(snaps),
-            "submitted": sum(s["submitted"] for s in snaps),
-            "completed": sum(s["completed"] for s in snaps),
-            "failed": sum(s["failed"] for s in snaps),
-            "rejected": merged_dict("rejected"),
-            "deadline_exceeded": merged_dict("deadline_exceeded"),
-            "admission_rejected": merged_dict("admission_rejected"),
-            "batches": batches,
-            "batched_requests": batched,
-            "flush_causes": merged_dict("flush_causes"),
-            "mean_occupancy": batched / batches if batches else 0.0,
-            "queue_depth_hwm": max((s["queue_depth_hwm"] for s in snaps), default=0),
-            "latency_p50_ms": pct(50),
-            "latency_p99_ms": pct(99),
-            "per_shard": snaps,
-        }
-
-    def as_dict(self) -> dict:
-        """JSON-ready form (alias of :meth:`snapshot`, for uniformity)."""
-        return self.snapshot()
-
-
-class ShardRouter:
-    """Route online alignment traffic across per-shard services.
-
-    Parameters
-    ----------
-    num_shards:
-        Shard/service count (ignored when ``services`` is given).
-    services:
-        Pre-built (unstarted) services to front, one per shard — each
-        should already hold its slice of the database.  Built from the
-        remaining parameters otherwise.
-    database:
-        The full reference (anything :func:`repro.search.search` accepts).
-        Windowed once here and partitioned by chunk ordinal across the
-        shard services.
-    window / overlap / max_query:
-        Windowing for the partition (ignored for pre-windowed chunk
-        databases).  Online routing cannot see future query lengths, so
-        pass ``window`` *and* ``overlap`` explicitly, or give
-        ``max_query`` — the longest query you will submit — and any
-        missing value is derived from the offline defaults.  An overlap
-        below the longest query would lose boundary-spanning placements,
-        so the router refuses to guess.
-    search_kwargs:
-        Default keyword arguments for ``submit_search`` on every shard.
-    pool:
-        A started (or startable) :class:`~repro.shard.pool.ShardWorkerPool`
-        to serve ``submit_search`` from.  The pool already holds the
-        partitioned reference, so ``database`` may be omitted; the
-        services then carry score/align traffic only.  Searches run on
-        the pool's worker processes via the event loop's default
-        executor; ``priority`` does not apply to them.  Note the pool
-        serializes its public methods on an internal lock, so concurrent
-        ``submit_search`` calls execute **one query set at a time** —
-        what the pool buys is zero spawn/transfer cost per query, not
-        query-level fan-out concurrency.  Batch queries into one
-        ``pool.search_topk(queries)`` call where search throughput
-        matters.
-    slo:
-        A shared :class:`~repro.obs.slo.SLOTracker` every shard service
-        feeds.  Built automatically (and shared across shards) when
-        ``config.slos`` declares objectives, so burn-rate shedding trips
-        on the aggregate burn rather than one shard's slice.
-    service_kwargs:
-        Everything else (engine, scheme, backend, target_batch, config,
-        ...) forwarded to each :class:`AlignmentService`.
-
-    The router also carries the operational surface: ``health`` is a
-    :class:`~repro.obs.health.HealthRegistry` with per-shard engine and
-    service probes (plus a pool probe when fronting one) — routing skips
-    shards whose readiness probe fails, and a search whose fan-in would
-    be partial is rejected outright (``router_rejected_total``) rather
-    than silently merged from a subset; ``scrape_registry()`` merges the
-    process registry, the router's own counters and every shard's
-    service registry (labeled ``shard=i``) into one scrapeable view.
-    """
-
-    def __init__(
-        self,
-        num_shards: int = 2,
-        *,
-        services: list | None = None,
-        pool=None,
-        database=None,
-        window: int | None = None,
-        overlap: int | None = None,
-        max_query: int | None = None,
-        search_kwargs: dict | None = None,
-        map_kwargs: dict | None = None,
-        slo=None,
-        **service_kwargs,
-    ):
-        self._search_kwargs = dict(search_kwargs or {})
-        self._map_kwargs = dict(map_kwargs or {})
-        self.pool = pool
-        if services is not None:
-            if not services:
-                raise ValidationError("services must be non-empty")
-            self.services = list(services)
-        else:
-            check_positive(num_shards, "num_shards")
-            shard_dbs: list = [None] * num_shards
-            if database is not None and pool is None:
-                kind, value = classify_database(database, materialize=True)
-                if kind == "chunks":
-                    chunks = list(value)
-                else:
-                    if window is None or overlap is None:
-                        # Never guess the query extent: an overlap smaller
-                        # than the longest query loses boundary-spanning
-                        # placements, silently breaking the fan-out merge's
-                        # parity guarantee.
-                        if max_query is None:
-                            raise ValidationError(
-                                "partitioning a database needs explicit window= "
-                                "and overlap=, or max_query= (the longest query "
-                                "you will submit) to derive the offline defaults"
-                            )
-                        window, overlap = resolve_windowing(max_query, window, overlap)
-                    chunks = list(_chunk_source(value, window, overlap))
-                shard_dbs = partition_chunks(iter(chunks), num_shards)
-            if slo is None:
-                cfg = service_kwargs.get("config")
-                if cfg is not None and getattr(cfg, "slos", ()):
-                    from repro.obs.slo import SLOTracker
-
-                    # One tracker shared by every shard: the SLO contract
-                    # is service-wide, and shedding must trip on the
-                    # aggregate burn, not one shard's slice of it.
-                    slo = SLOTracker(cfg.slos)
-            self.services = [
-                AlignmentService(
-                    database=shard_dbs[i],
-                    search_kwargs=dict(self._search_kwargs),
-                    map_kwargs=dict(self._map_kwargs),
-                    slo=slo,
-                    **service_kwargs,
-                )
-                for i in range(num_shards)
-            ]
-        if slo is None:
-            slo = next((svc.slo for svc in self.services if svc.slo is not None), None)
-        self.slo = slo
-        self._shed = frozenset().union(
-            *(svc.config.shed_priorities for svc in self.services)
+def ShardRouter(num_shards: int | None = None, *, pool, **service_kwargs):
+    """``AlignmentService(pool=pool, **service_kwargs)``; checks ``num_shards``."""
+    if num_shards is not None and num_shards != pool.num_shards:
+        raise ValidationError(
+            f"num_shards={num_shards} but the pool has {pool.num_shards} shards"
         )
-        self.stats = RouterStats(self.services)
-        self.registry = MetricsRegistry()
-        self._rejected = self.registry.counter(
-            "router_rejected_total",
-            "Requests the router refused before any shard saw them, by cause",
-            labels=("cause",),
-        )
-        self._unready_skips = self.registry.counter(
-            "router_unready_skips_total",
-            "Times routing skipped a shard whose readiness probe failed",
-            labels=("shard",),
-        )
-        self._log = get_logger("shard.router")
-        self.health = HealthRegistry()
-        self._ready_probes: list = []
-        for i, svc in enumerate(self.services):
-            # Engine death means restart (liveness); a saturated or
-            # closed admission queue means stop routing here (readiness).
-            self.health.add_probe(f"engine:{i}", engine_probe(svc.engine))
-            ready = service_probe(svc)
-            self.health.add_probe(f"service:{i}", ready, liveness=False)
-            self._ready_probes.append(ready)
-        if pool is not None:
-            self.health.add_probe("pool", pool_probe(pool))
-        self._rr = 0  # round-robin cursor for load ties
-        self._closed = False
-
-    # -- lifecycle -----------------------------------------------------------
-    @property
-    def num_shards(self) -> int:
-        return len(self.services)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def start(self):
-        """Start every shard service on the running loop (idempotent)."""
-        for svc in self.services:
-            svc.start()
-        return self
-
-    async def drain(self):
-        await asyncio.gather(*(svc.drain() for svc in self.services))
-
-    async def close(self):
-        self._closed = True
-        await asyncio.gather(*(svc.close() for svc in self.services))
-
-    async def __aenter__(self):
-        return self.start()
-
-    async def __aexit__(self, *exc):
-        await self.close()
-        return False
-
-    # -- service surface ------------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        return sum(svc.queue_depth for svc in self.services)
-
-    def capacity_for(self, priority) -> int:
-        return sum(svc.capacity_for(priority) for svc in self.services)
-
-    def _shard_ready(self, index: int) -> bool:
-        """One shard's readiness probe (a raising probe is unready)."""
-        try:
-            result = self._ready_probes[index]()
-        except Exception:
-            return False
-        return bool(getattr(result, "healthy", result))
-
-    def _pick(self) -> AlignmentService:
-        """Least-loaded *ready* service; round-robin breaks depth ties.
-
-        Shards whose readiness probe fails (closed, dead flusher,
-        saturated queue) are skipped and counted.  When every shard is
-        unready the plain least-loaded choice stands — the service's own
-        admission gate gives the caller an honest rejection, which beats
-        the router inventing a new failure mode.
-        """
-        count = len(self.services)
-        self._rr = (self._rr + 1) % count
-        best, best_key = None, None
-        fallback, fallback_key = None, None
-        for offset in range(count):
-            index = (self._rr + offset) % count
-            svc = self.services[index]
-            key = svc.queue_depth
-            if fallback_key is None or key < fallback_key:
-                fallback, fallback_key = svc, key
-            if not self._shard_ready(index):
-                self._unready_skips.inc(shard=index)
-                continue
-            if best_key is None or key < best_key:
-                best, best_key = svc, key
-        return best if best is not None else fallback
-
-    async def submit(
-        self, query, subject, *, priority=Priority.NORMAL, timeout: float | None = None
-    ) -> int:
-        """Score one pair on the least-loaded shard service."""
-        return await self._pick().submit(
-            query, subject, priority=priority, timeout=timeout
-        )
-
-    async def submit_align(
-        self, query, subject, *, priority=Priority.NORMAL, timeout: float | None = None
-    ):
-        """Full alignment on the least-loaded shard service."""
-        return await self._pick().submit_align(
-            query, subject, priority=priority, timeout=timeout
-        )
-
-    async def submit_search(
-        self,
-        query,
-        *,
-        priority=Priority.NORMAL,
-        timeout: float | None = None,
-        **overrides,
-    ):
-        """Fan a search out to every shard; merge the partial top-Ks.
-
-        Per-shard hit lists are bounded by the same ``k``, so the merge is
-        exact: identical to a single service holding the whole database.
-        With a resident ``pool``, the fan-out (and the merge) happens on
-        the pool's worker processes instead — same bit-identical result,
-        no spawn and no payload transfer on the query path; concurrent
-        calls serialize on the pool's lock (single query set in flight —
-        see the ``pool`` parameter note).
-        """
-        priority = Priority(priority)
-        if (
-            self.slo is not None
-            and priority.name in self._shed
-            and self.slo.fast_burn_active()
-        ):
-            # Mirrors the per-service admission shed for the pool path,
-            # where no AlignmentService gate sits in front of the search.
-            self._rejected.inc(cause="shed")
-            self._log.warning(
-                "search shed at router: fast burn-rate alert active",
-                priority=priority.name,
-            )
-            raise ServiceOverloadedError(
-                f"{priority.name} search shed: fast burn-rate alert active"
-            )
-        verdict = self.health.readiness()
-        if not verdict.healthy:
-            # A search needs every shard (the database is partitioned);
-            # merging a partial fan-in would silently change the answer.
-            # Reject instead — accepted searches stay bit-identical.
-            self._rejected.inc(cause="unready")
-            self._log.warning(
-                "search rejected: shards unready", failing=verdict.failing()
-            )
-            raise ServiceOverloadedError(
-                f"search rejected, shards unready: {verdict.failing()}"
-            )
-        tracer = get_tracer()
-        if self.pool is not None:
-            merged = dict(self._search_kwargs)
-            merged.update(overrides)
-            loop = asyncio.get_running_loop()
-            with tracer.span("router.submit_search", shards=self.num_shards):
-                # The pool call runs on an executor thread, which never
-                # sees this task's contextvars — hand the position over
-                # as an explicit carrier instead.
-                carrier = tracer.inject()
-                results = await loop.run_in_executor(
-                    None,
-                    lambda: self.pool.search_topk(
-                        [query], timeout=timeout, carrier=carrier, **merged
-                    ),
-                )
-            return results[0]
-        with tracer.span("router.submit_search", shards=self.num_shards):
-            # Service coroutines inherit this span via contextvars (task
-            # creation copies the context), so no explicit carrier needed.
-            partials = await asyncio.gather(
-                *(
-                    svc.submit_search(
-                        query, priority=priority, timeout=timeout, **overrides
-                    )
-                    for svc in self.services
-                )
-            )
-            merged = dict(self._search_kwargs)
-            merged.update(overrides)
-            reducer = TopKReducer(
-                1, k=merged.get("k", 10), min_score=merged.get("min_score")
-            )
-            for hits in partials:
-                reducer.absorb([hits])
-            return reducer.results()[0]
-
-    async def submit_map(
-        self,
-        query,
-        *,
-        priority=Priority.NORMAL,
-        timeout: float | None = None,
-        **overrides,
-    ):
-        """Fan a read-mapping request out to every shard; merge exactly.
-
-        Each shard returns its *pre-dedup* placements (every placement
-        still carrying its source hit), and
-        :func:`repro.mapping.merge_mapped` replays the global hit-level
-        top-K before deduping — identical to a single service holding the
-        whole database, bit for bit.  With a resident ``pool`` the
-        per-shard stage runs on the pool's worker processes instead
-        (same result, no spawn, no payload transfer).  SLO shedding and
-        the all-shards readiness gate mirror :meth:`submit_search` — a
-        partially-merged mapping would silently change the answer.
-        """
-        from repro.mapping import merge_mapped, resolve_config
-
-        priority = Priority(priority)
-        if (
-            self.slo is not None
-            and priority.name in self._shed
-            and self.slo.fast_burn_active()
-        ):
-            self._rejected.inc(cause="shed")
-            self._log.warning(
-                "map shed at router: fast burn-rate alert active",
-                priority=priority.name,
-            )
-            raise ServiceOverloadedError(
-                f"{priority.name} map shed: fast burn-rate alert active"
-            )
-        verdict = self.health.readiness()
-        if not verdict.healthy:
-            self._rejected.inc(cause="unready")
-            self._log.warning(
-                "map rejected: shards unready", failing=verdict.failing()
-            )
-            raise ServiceOverloadedError(
-                f"map rejected, shards unready: {verdict.failing()}"
-            )
-        merged = dict(self._map_kwargs)
-        merged.update(overrides)
-        config = merged.pop("config", None)
-        cfg = resolve_config(config, **merged)
-        tracer = get_tracer()
-        if self.pool is not None:
-            loop = asyncio.get_running_loop()
-            with tracer.span("router.submit_map", shards=self.num_shards):
-                carrier = tracer.inject()
-                results = await loop.run_in_executor(
-                    None,
-                    lambda: self.pool.map_topk(
-                        [query], timeout=timeout, carrier=carrier, config=cfg
-                    ),
-                )
-            return results[0]
-        with tracer.span("router.submit_map", shards=self.num_shards):
-            partials = await asyncio.gather(
-                *(
-                    svc.submit_map(
-                        query,
-                        priority=priority,
-                        timeout=timeout,
-                        partial=True,
-                        config=cfg,
-                    )
-                    for svc in self.services
-                )
-            )
-            return merge_mapped(
-                partials,
-                num_reads=1,
-                num_oriented=cfg.orientations(),
-                hit_k=cfg.search.k,
-                k=cfg.k,
-                min_score=cfg.search.min_score,
-            )[0]
-
-    # -- introspection --------------------------------------------------------
-    def scrape_registry(self) -> MetricsRegistry:
-        """One merged registry for ``/metrics``: process + router + shards.
-
-        Per-shard service registries all use the same ``serve_*`` metric
-        names, so each merges in under an extra ``shard`` label; the
-        process-wide registry (engine/search/pool instrumentation) and
-        the router's own counters merge in unlabeled.  Built fresh per
-        scrape — the live registries keep the state.
-        """
-        out = MetricsRegistry()
-        out.merge(get_registry().snapshot())
-        out.merge(self.registry.snapshot())
-        for i, svc in enumerate(self.services):
-            out.merge(svc.stats.registry.snapshot(), extra_labels={"shard": i})
-        return out
-
-    def report(self) -> str:
-        """Aggregate + per-shard serving tables (perf.report format)."""
-        from repro.perf.report import router_stats_table
-
-        return router_stats_table(self)
-
-    def __repr__(self):
-        return (
-            f"ShardRouter(shards={self.num_shards}, depth={self.queue_depth}, "
-            f"closed={self._closed})"
-        )
+    return AlignmentService(pool=pool, **service_kwargs)

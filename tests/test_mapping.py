@@ -5,8 +5,8 @@ path) is **bit-identical** to ``exhaustive_map`` (full-DP oracle) when
 ``min_score`` sits above the random-junk noise floor, and the
 single-process result is bit-identical to every distributed serving
 path — pool-served (``ShardWorkerPool.map_topk``), service
-(``AlignmentService.submit_map``), and router (both services and pool
-backends).  Identity is compared on ``placement_key`` — (record,
+(``AlignmentService.submit_map`` over a local database or a resident
+pool).  Identity is compared on ``placement_key`` — (record,
 ref_start, ref_end, strand, score, cigar, clip coords) — so any drift
 in extension, dedup, or merge order fails loudly.
 
@@ -366,45 +366,8 @@ class TestServeRouter:
                 placement_key(p) for p in want
             ]
 
-    def test_service_partial_returns_prededup_with_hits(self, workload):
-        rs, ref = workload
-
-        async def main():
-            async with AlignmentService(
-                database=ref, map_kwargs={"min_score": MIN_SCORE}
-            ) as svc:
-                return await svc.submit_map(rs.reads[0], partial=True)
-
-        per_read = asyncio.run(main())
-        assert len(per_read) == 1 and len(per_read[0]) >= 1
-        # Partials keep their source hits (the merge replays the hit
-        # top-K) but never ship window bases across the boundary.
-        for p in per_read[0]:
-            assert p.hit is not None
-            assert p.hit.meta is None or "window" not in p.hit.meta
-
-    def test_router_services_path_matches_direct(self, workload):
-        rs, ref = workload
-
-        async def main():
-            async with ShardRouter(
-                num_shards=3,
-                database=ref,
-                max_query=80,
-                map_kwargs={"min_score": MIN_SCORE},
-            ) as router:
-                return await asyncio.gather(
-                    *(router.submit_map(rs.reads[i]) for i in range(4))
-                )
-
-        got = asyncio.run(main())
-        for i, ps in enumerate(got):
-            want = map_one(rs.reads[i], ref, min_score=MIN_SCORE)
-            assert [placement_key(p) for p in ps] == [
-                placement_key(p) for p in want
-            ]
-
     def test_router_pool_path_matches_direct(self, workload):
+        """The alias's call form: ``AlignmentService(pool=...)`` underneath."""
         rs, ref = workload
         plan = ShardPlan(num_shards=2, search=SearchConfig(), start_method="fork")
 

@@ -6,19 +6,18 @@ Covers the liveness/readiness contract:
   raising probes becoming unhealthy results, verdict composition;
 * the layer probe factories — engine executor, service admission queue,
   shard-pool workers (dead workers, lazy-start pools, clock drift);
-* the router integration — per-shard probes installed at construction,
-  ``_pick`` skipping unready shards (counted), and searches rejected
-  outright when the fan-in would be partial.
+* the service integration — engine/service (and pool) probes installed
+  at construction, and the merged process + service scrape registry.
 """
 
 import asyncio
 
 import pytest
 
-from repro.obs import HealthRegistry, MetricsRegistry, ProbeResult
+from repro.obs import HealthRegistry, MetricsRegistry, ProbeResult, get_registry
 from repro.obs.health import engine_probe, pool_probe, service_probe
-from repro.serve import AlignmentService, Priority, ServiceOverloadedError
-from repro.shard import ShardPlan, ShardRouter, ShardWorkerPool
+from repro.serve import AlignmentService
+from repro.shard import ShardPlan, ShardWorkerPool
 from repro.util.checks import ValidationError
 
 
@@ -157,66 +156,26 @@ class TestProbeFactories:
         assert pool_probe(pool)().healthy
 
 
-class TestRouterHealth:
-    def test_per_shard_probes_installed(self):
-        router = ShardRouter(num_shards=2)
-        assert router.health.names() == [
-            "engine:0",
-            "engine:1",
-            "service:0",
-            "service:1",
-        ]
-        assert router.health.readiness().healthy
-        assert router.health.liveness().healthy
+class TestServiceHealth:
+    def test_probes_installed(self):
+        svc = AlignmentService()
+        assert svc.health.names() == ["engine", "service"]
+        assert svc.health.readiness().healthy
+        assert svc.health.liveness().healthy
+        pooled = AlignmentService(pool=ShardWorkerPool(plan=ShardPlan(num_shards=2)))
+        assert pooled.health.names() == ["engine", "pool", "service"]
+        assert pooled.health.readiness().healthy  # unstarted pool spawns lazily
 
-    def test_pick_skips_unready_shard(self):
+    def test_scrape_registry_merges_process_and_service(self):
         async def main():
-            async with ShardRouter(num_shards=2) as router:
-                router.services[1]._depth = router.services[1].max_queue_depth
-                for _ in range(4):
-                    picked = router._pick()
-                    assert picked is router.services[0]
-                skips = router.registry.get("router_unready_skips_total")
-                assert skips.value(shard=1) == 4
-                # Scoring still lands on the ready shard.
-                score = await router.submit("ACGT", "ACGT")
-                assert isinstance(score, int)
-                router.services[1]._depth = 0
-            return True
-
-        assert asyncio.run(main())
-
-    def test_all_unready_falls_back_to_least_loaded(self):
-        router = ShardRouter(num_shards=2)
-        for svc in router.services:
-            svc._depth = svc.max_queue_depth
-        assert router._pick() is not None  # honest rejection beats a crash
-
-    def test_search_rejected_when_any_shard_unready(self):
-        async def main():
-            async with ShardRouter(num_shards=2) as router:
-                router.services[1]._depth = router.services[1].max_queue_depth
-                with pytest.raises(ServiceOverloadedError, match="unready"):
-                    await router.submit_search("ACGT")
-                rejected = router.registry.get("router_rejected_total")
-                assert rejected.value(cause="unready") == 1
-                router.services[1]._depth = 0
-            return True
-
-        assert asyncio.run(main())
-
-    def test_scrape_registry_merges_shards_with_labels(self):
-        async def main():
-            async with ShardRouter(num_shards=2) as router:
-                await router.submit("ACGT", "ACGT")
-                scrape = router.scrape_registry()
-                submitted = scrape.get("serve_submitted_total")
-                per_shard = submitted.series()
-                assert sum(per_shard.values()) == 1
-                assert all(key in (("0",), ("1",)) for key in per_shard)
-                assert scrape.get("router_rejected_total") is not None
+            async with AlignmentService() as svc:
+                await svc.submit("ACGT", "ACGT")
+                scrape = svc.scrape_registry()
+                assert scrape.get("serve_submitted_total").value() == 1
+                # Process-wide instrumentation (engine, search, pool) merges in.
+                assert set(get_registry().snapshot()) <= set(scrape.snapshot())
                 text = scrape.to_prometheus()
-                assert 'serve_submitted_total{shard="' in text
+                assert "serve_submitted_total 1" in text
             return True
 
         assert asyncio.run(main())

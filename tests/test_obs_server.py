@@ -6,8 +6,8 @@ Two halves:
 * endpoint mechanics against injected fake sources — routes, status
   codes, content types, query parameters, HEAD/405/404/400 handling,
   callable source re-resolution, and the lifecycle contract;
-* the PR's acceptance path, end to end: a ``ShardRouter`` fronting a
-  resident ``ShardWorkerPool`` serves live traffic while an
+* the full telemetry loop, end to end: an ``AlignmentService`` serving
+  from a resident ``ShardWorkerPool`` takes live traffic while an
   ``IntrospectionServer`` scrapes it; injected bad latency on NORMAL
   traffic drives the fast burn-rate pair over threshold, BULK is shed at
   admission (visible on the dedicated counters), INTERACTIVE keeps
@@ -35,8 +35,8 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.search import SearchConfig, search_topk
-from repro.serve import Priority, ServiceOverloadedError
-from repro.shard import ShardPlan, ShardRouter, ShardWorkerPool
+from repro.serve import AlignmentService, Priority, ServiceOverloadedError
+from repro.shard import ShardPlan, ShardWorkerPool
 from repro.util.checks import ReproError
 
 from helpers import hit_keys, planted_instance
@@ -255,17 +255,22 @@ class TestTelemetryLoop:
                 pool.start()
 
                 async def main():
-                    router = ShardRouter(
-                        2, pool=pool, search_kwargs={"k": 3}, slo=tracker
+                    svc = AlignmentService(
+                        pool=pool, search_kwargs={"k": 3}, slo=tracker
                     )
                     server = IntrospectionServer(
-                        registry=router.scrape_registry,
-                        health=router.health,
+                        registry=svc.scrape_registry,
+                        health=svc.health,
                         slo=tracker,
                     )
-                    async with router, server:
-                        # Healthy phase: searches resolve, readiness is green.
-                        before = [await router.submit_search(q) for q in queries]
+                    async with svc, server:
+                        # Healthy phase: searches resolve, readiness is green,
+                        # and pool-served completions feed the SLO tracker.
+                        before = [
+                            await svc.submit_search(q, priority=Priority.INTERACTIVE)
+                            for q in queries
+                        ]
+                        assert tracker.budget("interactive")["events"] == len(queries)
                         status, _, _ = await fetch(server, "/readyz")
                         assert status == 200
                         assert not tracker.fast_burn_active()
@@ -273,25 +278,25 @@ class TestTelemetryLoop:
                         # Inject burn: NORMAL completions all violate the
                         # impossible bound; both fast windows light up.
                         for i in range(30):
-                            await router.submit(queries[0], queries[1])
+                            await svc.submit(queries[0], queries[1])
                             clock.advance(1.0)
                         assert tracker.fast_burn_active()
                         assert {a.objective for a in tracker.alerts()} == {
                             "normal-lat"
                         }
 
-                        # BULK is shed at both front doors...
+                        # BULK is shed for every request kind...
                         with pytest.raises(ServiceOverloadedError, match="shed"):
-                            await router.submit(
+                            await svc.submit(
                                 queries[0], queries[1], priority=Priority.BULK
                             )
                         with pytest.raises(ServiceOverloadedError, match="shed"):
-                            await router.submit_search(
+                            await svc.submit_search(
                                 queries[0], priority=Priority.BULK
                             )
                         # ...while INTERACTIVE rides through and its
                         # objective keeps its budget.
-                        score = await router.submit(
+                        score = await svc.submit(
                             queries[0], queries[1], priority=Priority.INTERACTIVE
                         )
                         assert isinstance(score, int)
@@ -299,29 +304,20 @@ class TestTelemetryLoop:
 
                         # Accepted work is never dropped: searches during
                         # the burn match the untelemetered hits bit for bit.
-                        during = [await router.submit_search(q) for q in queries]
+                        during = [await svc.submit_search(q) for q in queries]
                         assert hit_keys(during) == untelemetered
                         assert hit_keys(before) == untelemetered
 
-                        # Every shed decision is on the dedicated counters.
-                        scrape = router.scrape_registry()
+                        # Every shed decision is counted once, whatever its kind.
+                        scrape = svc.scrape_registry()
                         shed = scrape.get("serve_admission_rejected_total")
-                        assert sum(
-                            count
-                            for key, count in shed.series().items()
-                            if key[:2] == ("shed", "BULK")
-                        ) == 1
-                        assert (
-                            scrape.get("router_rejected_total").value(cause="shed")
-                            == 1
-                        )
+                        assert shed.value(cause="shed", priority="BULK") == 2
 
                         # And the scrape surfaces agree over HTTP.
                         status, _, body = await fetch(server, "/metrics")
                         assert status == 200
                         text = body.decode()
                         assert 'serve_admission_rejected_total{cause="shed"' in text
-                        assert 'router_rejected_total{cause="shed"}' in text
                         status, _, body = await fetch(server, "/slo")
                         doc = json.loads(body)
                         assert [a["objective"] for a in doc["alerts"]] == [
@@ -344,7 +340,7 @@ class TestTelemetryLoop:
                     return True
 
                 assert asyncio.run(main())
-                assert not pool.closed  # the router only borrowed it
+                assert not pool.closed  # the service only borrowed it
         finally:
             disable_tracing()
             tracer.clear()

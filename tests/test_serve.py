@@ -310,6 +310,17 @@ class TestAlignmentService:
 
         asyncio.run(main())
 
+    def test_bad_map_override_fails_the_request(self):
+        # Resolving the request's config runs after admission; a bad
+        # override must resolve the future with the error, not strand it.
+        async def main():
+            async with AlignmentService(database="ACGT" * 50) as svc:
+                with pytest.raises(ValidationError, match="unknown mapping"):
+                    await asyncio.wait_for(svc.submit_map("ACGTACGT", bogus=1), 30)
+                return svc.stats.failed, svc.queue_depth
+
+        assert asyncio.run(main()) == (1, 0)
+
     def test_search_custom_scheme_and_engine_override_rejected(self):
         from repro.core.scoring import (
             linear_gap_scoring,

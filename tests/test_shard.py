@@ -1,6 +1,5 @@
 """Tests for the sharded search subsystem (repro.shard)."""
 
-import asyncio
 import os
 import pickle
 import time
@@ -11,7 +10,7 @@ import pytest
 from repro.engine import EngineConfig, ExecutionEngine
 from repro.search import SearchConfig, TopKReducer, merge_topk, search_topk
 from repro.search.topk import Hit
-from repro.serve import AlignmentService, ServiceConfig, SyncAlignmentClient
+from repro.serve import ServiceConfig, SyncAlignmentClient
 from repro.shard import (
     ChunkPayload,
     RecordPayload,
@@ -20,6 +19,7 @@ from repro.shard import (
     ShardPlan,
     ShardRouter,
     ShardWorkerError,
+    ShardWorkerPool,
     build_payloads,
     sharded_search_topk,
 )
@@ -357,88 +357,19 @@ class TestWorkerFailures:
 
 
 class TestShardRouter:
-    def test_requires_windowing_hint_for_raw_database(self):
-        with pytest.raises(ValidationError, match="window"):
-            ShardRouter(2, database=random_genome(1000, seed=30))
-        # window alone is not enough either: without the query extent the
-        # router would have to guess an overlap and could lose
-        # boundary-spanning placements.
-        with pytest.raises(ValidationError, match="max_query"):
-            ShardRouter(2, database=random_genome(1000, seed=30), window=200)
-        # window + max_query derives a safe overlap.
-        router = ShardRouter(
-            2, database=random_genome(1000, seed=30), window=200, max_query=80
-        )
-        assert router.num_shards == 2
-
-    def test_prewindowed_database_needs_no_windowing(self):
-        chunks = list(chunk_sequence(random_genome(1000, seed=34), 100, 20))
-        router = ShardRouter(2, database=iter(chunks))
-        owned = [svc._database for svc in router.services]
-        assert sorted(c.id for part in owned for c in part) == [c.id for c in chunks]
-
-    def test_search_fanout_parity_and_load_routing(self):
-        ref, queries = _planted_instance(16000, 5, 80, seed=31)
-        window, overlap = 160, 96
-        kw = {"k": 4, "window": window, "overlap": overlap}
-
-        async def single():
-            async with AlignmentService(database=ref, search_kwargs=dict(kw)) as svc:
-                return [await svc.submit_search(q) for q in queries]
-
-        async def routed():
-            router = ShardRouter(
-                2, database=ref, window=window, overlap=overlap,
-                search_kwargs=dict(kw),
-            )
-            async with router:
-                hits = [await router.submit_search(q) for q in queries]
-                scores = await asyncio.gather(
-                    *(router.submit(q, ref[:80]) for q in queries)
-                )
-                snap = router.stats.snapshot()
-                report = router.report()
-            return hits, list(scores), snap, report
-
-        expect = asyncio.run(single())
-        hits, scores, snap, report = asyncio.run(routed())
-        assert [_hit_keys([h])[0] for h in hits] == [_hit_keys([h])[0] for h in expect]
-
-        with ExecutionEngine(backend="rowscan") as eng:
-            direct = [int(x) for x in eng.submit_batch(queries, [ref[:80]] * len(queries))]
-        assert scores == direct
-
-        per_shard = snap["per_shard"]
-        assert len(per_shard) == 2
-        # Searches fan out to every shard; scores route by load — every
-        # service must have seen traffic.
-        assert all(s["submitted"] > 0 for s in per_shard)
-        assert snap["completed"] == sum(s["completed"] for s in per_shard)
-        assert "Shard router" in report and "Per-shard services" in report
-
     def test_sync_client_drives_router_unchanged(self):
         ref, queries = _planted_instance(12000, 3, 80, seed=32)
-        router = ShardRouter(
-            2, database=ref, max_query=80, search_kwargs={"k": 3}
+        plan = ShardPlan(
+            num_shards=2, search=SearchConfig(k=3), start_method="fork"
         )
-        with SyncAlignmentClient(service=router) as client:
-            hits = client.search(queries[0])
-            scores = client.score_many([(q, ref[:80]) for q in queries])
-        assert router.closed
+        with ShardWorkerPool(ref, plan=plan, timeout=120) as pool:
+            router = ShardRouter(2, pool=pool, search_kwargs={"k": 3})
+            with SyncAlignmentClient(service=router) as client:
+                hits = client.search(queries[0])
+                scores = client.score_many([(q, ref[:80]) for q in queries])
+            assert router.closed and not pool.closed
         single = search_topk([queries[0]], ref, k=3)[0]
         assert _hit_keys([hits]) == _hit_keys([single])
         with ExecutionEngine(backend="rowscan") as eng:
             direct = [int(x) for x in eng.submit_batch(queries, [ref[:80]] * len(queries))]
         assert scores == direct
-
-    def test_prebuilt_services(self):
-        ref, _ = _planted_instance(6000, 2, 80, seed=33)
-        services = [AlignmentService(), AlignmentService()]
-        router = ShardRouter(services=services)
-        assert router.num_shards == 2
-
-        async def run():
-            async with router:
-                return await router.submit("ACGTACGTAC", "ACGTACGTAC")
-
-        assert asyncio.run(run()) == 20

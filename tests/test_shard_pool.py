@@ -378,8 +378,10 @@ class TestPoolReuse:
 
 class TestRouterWithPool:
     def test_router_serves_searches_from_resident_pool(self):
+        """``ShardRouter(pool=...)`` is ``AlignmentService(pool=...)``."""
         import asyncio
 
+        from repro.serve import AlignmentService
         from repro.shard import ShardRouter
 
         ref, queries, _ = planted_instance(8000, 3, 80, seed=70)
@@ -388,6 +390,7 @@ class TestRouterWithPool:
 
             async def run():
                 router = ShardRouter(2, pool=pool, search_kwargs={"k": 3})
+                assert isinstance(router, AlignmentService)
                 async with router:
                     hits = [await router.submit_search(q) for q in queries]
                     score = await router.submit(queries[0], ref[:80])
@@ -398,7 +401,7 @@ class TestRouterWithPool:
             # Router is a borrower: closing it left the pool running.
             assert not pool.closed
             assert pool.stats.searches == len(queries)
-            assert "Resident search pool" in text
+            assert "Resident pool" in text
         single = search_topk(queries, ref, k=3)
         assert hit_keys([[h for h in hs] for hs in hits]) == hit_keys(single)
         assert isinstance(score, int)
