@@ -1,4 +1,4 @@
-"""Sharded search: persistent worker pool vs. spawn-per-search vs. single.
+"""Sharded search: warm worker pool vs. cold one-shot pools vs. single.
 
 Two acceptance bars (PR 7), enforced where the parallelism is physically
 available (``os.cpu_count() >= num_shards``); the equality assertions are
@@ -8,8 +8,8 @@ machine-independent and always on:
   reference published to shared memory, 4-shard search over repeated
   query sets must run ≥ 2× faster than the single-process pipeline;
 * **warm pool vs. spawn-per-search** — the same repeated query sets must
-  run ≥ 5× faster than the historical spawn-per-search path (which pays
-  process spawn + a pickled reference copy per worker, per search).
+  run ≥ 5× faster than a cold one-shot pool per query set (which pays
+  process spawn, reference publication and teardown every time).
 
 Every mode's merged top-K must be **bit-identical** to the
 single-process result on every repeat; the smoke variants additionally
@@ -20,8 +20,9 @@ On smaller hosts the bench still runs, asserts equality, and records
 ``bar_enforced: false`` in ``BENCH_shard.json`` so the perf trajectory
 stays comparable across machines.
 
-``-k "smoke and not pool"`` selects the tiny spawn-path CI variant;
-``-k pool_smoke`` the tiny warm-pool CI variant.
+``-k "smoke and not pool"`` selects the tiny three-mode CI variant
+(single, one-shot, warm pool); ``-k pool_smoke`` the tiny warm-pool and
+swap CI variant.
 """
 
 import os
@@ -30,7 +31,7 @@ import time
 from repro.perf import format_table
 from repro.search import search_topk
 from repro.search.pipeline import exhaustive_topk
-from repro.shard import ShardedSearch, ShardWorkerPool, ShardPlan
+from repro.shard import ShardWorkerPool, ShardPlan
 from repro.search import SearchConfig
 from repro.util.rng import make_rng
 from repro.workloads import MutationModel, mutate, random_genome
@@ -90,15 +91,17 @@ def _run_comparison(
     single_total = time.perf_counter() - t0
     single_s = single_total / REPEATS
 
-    # Mode 2: spawn-per-search — a cold one-shot ShardedSearch per repeat
-    # (the historical path: spawn + pickled payload paid every time).
+    # Mode 2: spawn-per-search — a cold one-shot pool per repeat (spawn,
+    # publish and teardown paid every time).
     spawn_runs = []
     t0 = time.perf_counter()
     for _ in range(REPEATS):
-        one_shot = ShardedSearch(num_shards=num_shards, timeout=900, **kwargs)
-        spawn_runs.append(one_shot.search_topk(queries, ref))
+        with ShardWorkerPool(
+            ref, num_shards=num_shards, timeout=900, **kwargs
+        ) as one_shot:
+            spawn_runs.append(one_shot.search_topk(queries))
     spawn_total = time.perf_counter() - t0
-    spawn_stats = one_shot.stats.snapshot()
+    spawn_stats = one_shot.stats.last_run.snapshot()
 
     # Mode 3: persistent pool — spawn + publish once, then warm repeats.
     plan = ShardPlan(num_shards=num_shards, search=SearchConfig(**kwargs))
@@ -156,7 +159,7 @@ def _run_comparison(
                 "1.0x",
             ),
             (
-                f"spawn-per-search × {REPEATS}",
+                f"one-shot pool × {REPEATS}",
                 f"{spawn_total:7.3f}",
                 f"{spawn_total / REPEATS:7.3f}",
                 f"{count * REPEATS / spawn_total:,.1f}",

@@ -15,19 +15,17 @@ assignments: every worker windows the same reference with the plan's
 resolved ``window``/``overlap`` and keeps the ordinals it owns, which is
 what makes the merged result bit-identical to a single-process scan.
 
-:class:`RecordPayload` / :class:`ChunkPayload` /
-:class:`SharedRecordPayload` are the shapes a database crosses the
-boundary in: whole encoded records (workers re-window and filter — one
-pickled reference copy per worker, the one-shot path), an explicit
-pre-partitioned chunk list (databases supplied as chunk iterators cannot
-be regenerated remotely), or — the persistent-pool path — a
-shared-memory segment published once by :func:`build_pool_payloads`,
-where only metadata is pickled and workers attach zero-copy.
+:class:`SharedRecordPayload` / :class:`ChunkPayload` are the shapes a
+database crosses the boundary in (both built by
+:func:`build_pool_payloads`): a shared-memory segment published once,
+where only metadata is pickled and workers attach zero-copy, or an
+explicit pre-partitioned chunk list (databases supplied as chunk
+iterators cannot be regenerated remotely).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.engine.engine import EngineConfig
 from repro.search.pipeline import SearchConfig, classify_database
@@ -41,21 +39,16 @@ from repro.util.checks import ValidationError, check_positive
 from repro.util.encoding import encode
 from repro.workloads.chunks import (
     chunk_encoded_records,
-    chunk_records,
     partition_chunks,
     shard_chunks,
     shard_of,
 )
-from repro.workloads.fasta import FastaRecord
 
 __all__ = [
     "ShardPlan",
-    "RecordPayload",
     "ChunkPayload",
     "SharedRecordPayload",
-    "build_payloads",
     "build_pool_payloads",
-    "fingerprint_database",
 ]
 
 
@@ -82,34 +75,6 @@ class ShardPlan:
     def shard_of(self, chunk_id: int) -> int:
         return shard_of(chunk_id, self.num_shards)
 
-    def resolved_for(self, qmax: int) -> "ShardPlan":
-        """Pin the search windowing to a concrete query set.
-
-        Workers must all window the reference identically — and identically
-        to the single-process run — so the parent resolves the windowing
-        once, before any process starts.
-        """
-        return replace(self, search=self.search.resolved_for(qmax))
-
-
-@dataclass(frozen=True)
-class RecordPayload:
-    """Database as encoded records: each worker re-windows and filters.
-
-    ``records`` are ``(name, uint8 codes)`` pairs — pre-encoded by the
-    parent so every worker skips the text decode and, more importantly, so
-    the windowing (and therefore the chunk ordinals) cannot drift between
-    processes.
-    """
-
-    records: tuple  # ((name, np.ndarray), ...)
-
-    def chunk_iter(self, plan: ShardPlan, shard_id: int):
-        _check_windowing(plan)
-        recs = (FastaRecord(name=name, sequence=seq) for name, seq in self.records)
-        chunks = chunk_records(recs, plan.search.window, plan.search.overlap)
-        return shard_chunks(chunks, plan.num_shards, shard_id)
-
 
 @dataclass(frozen=True)
 class ChunkPayload:
@@ -122,9 +87,11 @@ class ChunkPayload:
 
 
 def _check_windowing(plan: ShardPlan) -> None:
+    # Every worker must window the reference identically (and identically
+    # to the single-process scan), so the parent pins the windowing once.
     if plan.search.window is None or plan.search.overlap is None:
         raise ValidationError(
-            "plan windowing is unresolved; call plan.resolved_for(qmax) first"
+            "plan windowing is unresolved; pass plan.search.resolved_for(qmax)"
         )
 
 
@@ -158,8 +125,7 @@ class SharedRecordPayload:
 
     The picklable face of :mod:`repro.shard.shm` — only the segment
     *metadata* crosses the process boundary, so shipping it to N workers
-    costs O(1) in N where :class:`RecordPayload` cost N pickled copies of
-    the reference.  Workers call :meth:`attach` once and keep the
+    costs O(1) in N.  Workers call :meth:`attach` once and keep the
     resident :class:`_AttachedRecordPayload` across searches; the parent
     (the pool) owns the segment's lifetime.
     """
@@ -169,68 +135,24 @@ class SharedRecordPayload:
     def attach(self) -> _AttachedRecordPayload:
         return _AttachedRecordPayload(self.meta)
 
-    def chunk_iter(self, plan: ShardPlan, shard_id: int):
-        # One-shot convenience (tests, debugging): attach for the scan's
-        # duration.  Pool workers use attach() and hold it open instead.
-        attached = self.attach()
-        return attached.chunk_iter(plan, shard_id)
-
-
-def build_payloads(database, plan: ShardPlan) -> list:
-    """Normalize a database argument into one payload per shard.
-
-    Accepts everything :func:`repro.search.search` accepts: an encoded
-    array or string sequence, FastaRecord(s), or an iterator/list of
-    pre-windowed :class:`~repro.workloads.chunks.Chunk` objects.  Raw
-    sequences/records ship whole (every worker filters its own ordinals);
-    pre-windowed chunks are partitioned here because the parent cannot
-    replay an arbitrary iterator remotely.
-    """
-    kind, value = classify_database(database, materialize=True)
-    if kind == "chunks":
-        parts = partition_chunks(iter(value), plan.num_shards)
-        return [ChunkPayload(chunks=tuple(part)) for part in parts]
-    if kind == "records":
-        records = tuple((rec.name, encode(rec.sequence)) for rec in value)
-    else:
-        records = (("ref", encode(value)),)
-    payload = RecordPayload(records=records)
-    return [payload] * plan.num_shards
-
-
-def fingerprint_database(database) -> str:
-    """Content fingerprint of any database :func:`search` accepts.
-
-    Matches the fingerprint :func:`build_pool_payloads` records for the
-    same database, so a persistent owner can cheaply test "is the resident
-    reference already this database?" without re-publishing.  Note this
-    materializes iterator databases — pass lists when you intend to
-    fingerprint more than once.
-    """
-    kind, value = classify_database(database, materialize=True)
-    if kind == "chunks":
-        records = tuple((f"{c.record}:{c.start}", c.sequence) for c in value)
-    elif kind == "records":
-        records = tuple((rec.name, encode(rec.sequence)) for rec in value)
-    else:
-        records = (("ref", encode(value)),)
-    return fingerprint_records(records)
-
 
 def build_pool_payloads(database, plan: ShardPlan):
     """Normalize a database for the persistent pool: publish once, share.
 
-    Returns ``(payloads, segment, fingerprint)``: one payload per shard,
-    the owning :class:`~repro.shard.shm.SharedSegment` (or ``None`` when
-    the database is pre-windowed chunks, which ship as explicit pickled
-    lists exactly like the one-shot path), and a content fingerprint the
-    pool uses to decide reuse vs. :meth:`~repro.shard.pool.ShardWorkerPool.
-    swap_reference`.
+    Accepts everything :func:`repro.search.search` accepts: an encoded
+    array or string sequence, FastaRecord(s), or an iterator/list of
+    pre-windowed :class:`~repro.workloads.chunks.Chunk` objects.  Returns
+    ``(payloads, segment, fingerprint)``: one payload per shard, the
+    owning :class:`~repro.shard.shm.SharedSegment` (or ``None`` when the
+    database is pre-windowed chunks, which are partitioned here and ship
+    as explicit pickled lists — the parent cannot replay an arbitrary
+    iterator remotely), and a content fingerprint of the reference
+    (:attr:`~repro.shard.pool.ShardWorkerPool.fingerprint`).
 
     Record and raw-sequence databases are encoded in the parent and
     published to one shared-memory segment; every worker receives only the
     metadata and attaches zero-copy — O(1) payload transfer in the worker
-    count, versus one pickled reference copy per worker before.
+    count.
     """
     kind, value = classify_database(database, materialize=True)
     if kind == "chunks":

@@ -1,27 +1,32 @@
 """Persistent shard worker pool: spawn once, search many, swap online.
 
-The spawn-per-search shard path paid ~seconds of process spawn plus one
-pickled reference copy *per worker, per search* — enough to make 4-shard
-search a net slowdown on small machines.  :class:`ShardWorkerPool`
-amortizes all of it: workers are spawned **once**, the encoded reference
-is published **once** to a shared-memory segment
-(:mod:`repro.shard.shm` — workers attach zero-copy, so payload transfer
-is O(1) in the worker count), and each worker then services many query
-sets over a command/result queue protocol (``search`` / ``swap`` /
-``ping`` / ``shutdown`` — see :mod:`repro.shard.worker`).
+:class:`ShardWorkerPool` is the one sharded entry point.  Workers are
+spawned **once**, the encoded reference is published **once** to a
+shared-memory segment (:mod:`repro.shard.shm` — workers attach
+zero-copy, so payload transfer is O(1) in the worker count), and each
+worker then services many query sets over a command/result queue
+protocol (``search`` / ``map`` / ``swap`` / ``ping`` / ``shutdown`` — see
+:mod:`repro.shard.worker`).  A one-shot run is a pool used once::
 
-Guarantees carried over from the one-shot path, per command round:
+    with ShardWorkerPool(reference, num_shards=4, k=10) as pool:
+        topk = pool.search_topk(queries)
 
-* results are **bit-identical** to a single-process ``search_topk()``
-  (same chunk-ordinal ownership, same deterministic top-K merge);
-* a worker that raises surfaces as :class:`ShardWorkerError` with its
+Every command round (:meth:`search_topk` and :meth:`map_topk` share one):
+
+* returns results **bit-identical** to the single-process
+  ``search_topk()`` / ``map_reads()`` (same chunk-ordinal ownership,
+  same deterministic top-K merge);
+* validates its per-call parameters before touching the workers, so a
+  bad override (or a scheme the workers' engines were not built for) is
+  a :class:`~repro.util.checks.ValidationError` that sends no command;
+* surfaces a worker that raises as :class:`ShardWorkerError` with its
   traceback; one that dies silently is caught by exit-code polling; a
   wedged worker is bounded by ``timeout`` — never a hang.
 
-New, pool-only semantics:
+Across rounds:
 
-* **Warm reuse** — consecutive :meth:`search_topk` calls reuse resident
-  workers and the resident reference; ``stats`` accounts cold vs. warm.
+* **Warm reuse** — consecutive calls reuse resident workers and the
+  resident reference; ``stats`` accounts cold vs. warm.
 * **Reference swap** — :meth:`swap_reference` publishes the new database
   as a fresh segment, workers flip atomically between commands, and the
   old segment is unlinked only after every worker acknowledged, so no
@@ -32,7 +37,7 @@ New, pool-only semantics:
   abnormal death can poison the shared queue's write lock), and every
   worker comes back fresh — visible in ``stats.respawns``.
 * **Host-clamped concurrency** — at most :attr:`max_concurrent`
-  (``min(num_shards, cpu_count)`` by default) shard searches are
+  (``min(num_shards, cpu_count)`` by default) shard commands are
   dispatched at once, so oversharded pools degrade to staggered execution
   instead of oversubscribing the host (see
   :func:`~repro.shard.worker.shard_engine_workers` for the thread-budget
@@ -44,6 +49,7 @@ can be shared by a serving front (e.g. ``AlignmentService(pool=...)``).
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import queue as queue_mod
@@ -58,7 +64,7 @@ from repro.search.topk import Hit, TopKReducer
 from repro.shard.plan import ShardPlan, build_pool_payloads
 from repro.shard.stats import PoolStats, ShardRunStats
 from repro.shard.worker import run_pool_worker
-from repro.util.checks import ReproError, check_positive
+from repro.util.checks import ReproError, ValidationError, check_positive
 from repro.util.encoding import encode
 
 __all__ = ["ShardWorkerPool", "ShardError", "ShardWorkerError"]
@@ -77,6 +83,24 @@ _DEAD_GRACE_S = 5.0
 #: terminating it.
 _SHUTDOWN_JOIN_S = 5.0
 
+_SEARCH_FIELDS = frozenset(f.name for f in dataclasses.fields(SearchConfig))
+
+#: Per worker op: the round's span, its size attribute, and its counter.
+_ROUNDS = {
+    "search": (
+        "pool.search_topk",
+        "queries",
+        "pool_searches_total",
+        "Pool search rounds, by worker warmth",
+    ),
+    "map": (
+        "pool.map_topk",
+        "reads",
+        "pool_maps_total",
+        "Pool mapping rounds, by worker warmth",
+    ),
+}
+
 
 class ShardError(ReproError):
     """Base class for sharded-search failures."""
@@ -84,6 +108,23 @@ class ShardError(ReproError):
 
 class ShardWorkerError(ShardError):
     """A worker process failed (reported an exception or died silently)."""
+
+
+def _with_overrides(cfg: SearchConfig, overrides: dict) -> SearchConfig:
+    """``cfg`` with ``overrides`` applied; unknown names are an error."""
+    unknown = set(overrides) - _SEARCH_FIELDS
+    if unknown:
+        raise ValidationError(f"unknown search parameter(s): {sorted(unknown)}")
+    return replace(cfg, **overrides) if overrides else cfg
+
+
+def _encode_all(seqs, empty_msg: str) -> tuple[list, int]:
+    """Encoded sequences plus the longest length; refuses an empty set."""
+    encoded = [encode(s) for s in seqs]
+    qmax = max((e.size for e in encoded), default=0)
+    if qmax == 0:
+        raise ShardError(empty_msg)
+    return encoded, qmax
 
 
 class ShardWorkerPool:
@@ -98,9 +139,13 @@ class ShardWorkerPool:
         partitioned and pickled to workers at spawn (they cannot be
         re-windowed remotely).
     num_shards / plan / search_kwargs:
-        Same contract as :class:`~repro.shard.search.ShardedSearch`:
-        either a full :class:`~repro.shard.plan.ShardPlan` or a shard
-        count plus :func:`~repro.search.search` keyword arguments.
+        Either a full :class:`~repro.shard.plan.ShardPlan` or a shard
+        count (default 4) plus :class:`~repro.search.pipeline.SearchConfig`
+        fields as keywords — never both, and an explicit ``num_shards``
+        that conflicts with ``plan.num_shards`` is an error, not a silent
+        tie.  Workers build their own engines from ``plan.engine``; an
+        unknown keyword (``engine=`` included) is a
+        :class:`~repro.util.checks.ValidationError`.
     timeout:
         Per-command-round bound in seconds on waiting for workers
         (None = no bound; crashes are detected either way).
@@ -132,7 +177,7 @@ class ShardWorkerPool:
         if plan is None:
             plan = ShardPlan(
                 num_shards=num_shards if num_shards is not None else 4,
-                search=SearchConfig(**search_kwargs),
+                search=_with_overrides(SearchConfig(), search_kwargs),
             )
         else:
             if search_kwargs:
@@ -198,14 +243,6 @@ class ShardWorkerPool:
     def segment_name(self) -> str | None:
         """Name of the resident shared-memory segment, if any."""
         return self._segment.name if self._segment is not None else None
-
-    def serves(self, fingerprint: str | None) -> bool:
-        """Is the resident reference the one with this fingerprint?"""
-        return (
-            self._started
-            and fingerprint is not None
-            and fingerprint == self._fingerprint
-        )
 
     def liveness(self) -> dict | None:
         """Per-shard worker aliveness, or None before the pool has started.
@@ -331,63 +368,23 @@ class ShardWorkerPool:
         stitch into the caller's trace.
         """
         t_run = time.perf_counter()
-        enc_queries = [encode(q) for q in queries]
-        qmax = max((q.size for q in enc_queries), default=0)
-        if qmax == 0:
-            raise ShardError("sharded search needs at least one query")
-        tracer = get_tracer()
-        with tracer.span(
-            "pool.search_topk",
-            parent=carrier,
-            shards=self.num_shards,
-            queries=len(enc_queries),
-        ) as sp, self._lock:
-            cold = self._ensure_workers() or self._cold_pending
-            self._cold_pending = False
-            search_cfg = self.plan.search
-            if overrides:
-                search_cfg = replace(search_cfg, **overrides)
-            search_cfg = search_cfg.resolved_for(qmax)
-            run = ShardRunStats(
-                num_shards=self.num_shards,
-                warm=not cold,
-                spawn_s=self._last_spawn_s if cold else 0.0,
-                attach_s=max(self.stats.worker_attach_s.values(), default=0.0),
-            )
-            seq = self._next_seq()
-            deadline = self._deadline(timeout)
-            # Workers trace under the pool span's position, shipped as a
-            # plain carrier dict through the (picklable) command tuple.
-            wcarrier = sp.context.to_carrier() if sp.context is not None else None
-            messages = self._gather(
-                seq, enc_queries, search_cfg, deadline, wcarrier
-            )
+        enc_queries, qmax = _encode_all(
+            queries, "sharded search needs at least one query"
+        )
+        search_cfg = _with_overrides(self.plan.search, overrides).resolved_for(qmax)
 
-            t0 = time.perf_counter()
-            with tracer.span("pool.merge", shards=len(messages)):
+        def merge(shard_results):
+            with get_tracer().span("pool.merge", shards=len(shard_results)):
                 reducer = TopKReducer(
                     len(enc_queries), k=search_cfg.k, min_score=search_cfg.min_score
                 )
-                for results, ws in messages:
-                    run.add(ws)
+                for results in shard_results:
                     reducer.absorb(results)
-                merged = reducer.results()
-            run.merge_s = time.perf_counter() - t0
-            run.total_s = time.perf_counter() - t_run
-            self.stats.searches += 1
-            if run.warm:
-                self.stats.warm_searches += 1
-            else:
-                self.stats.cold_searches += 1
-            self.stats.last_run = run
-            reg = get_registry()
-            if reg.enabled:
-                reg.counter(
-                    "pool_searches_total",
-                    "Pool search rounds, by worker warmth",
-                    labels=("mode",),
-                ).inc(mode="warm" if run.warm else "cold")
-            return merged
+                return reducer.results()
+
+        return self._round(
+            "search", enc_queries, search_cfg, None, merge, t_run, timeout, carrier
+        )
 
     def map_topk(
         self,
@@ -413,25 +410,56 @@ class ShardWorkerPool:
         refine it the way :func:`repro.mapping.map_reads` kwargs do.
         ``carrier`` as in :meth:`search_topk`.
         """
-        from repro.mapping import DedupStats, merge_mapped, resolve_config
+        from repro.mapping import merge_mapped, resolve_config
 
         t_run = time.perf_counter()
-        enc_reads = [encode(r) for r in reads]
-        qmax = max((r.size for r in enc_reads), default=0)
-        if qmax == 0:
-            raise ShardError("pool mapping needs at least one read")
+        enc_reads, qmax = _encode_all(reads, "pool mapping needs at least one read")
         cfg = resolve_config(config, **overrides)
+        search_cfg = replace(cfg.search, hit_window=True).resolved_for(qmax)
+        map_cfg = replace(cfg, search=search_cfg)
+
+        def merge(shard_results):
+            with get_tracer().span("map.dedup", shards=len(shard_results)):
+                return merge_mapped(
+                    shard_results,
+                    num_reads=len(enc_reads),
+                    num_oriented=len(enc_reads) * cfg.orientations(),
+                    hit_k=search_cfg.k,
+                    k=cfg.k,
+                    min_score=search_cfg.min_score,
+                )
+
+        return self._round(
+            "map", enc_reads, search_cfg, map_cfg, merge, t_run, timeout, carrier
+        )
+
+    def _round(
+        self, op, enc_queries, search_cfg, map_cfg, merge, t_run, timeout, carrier
+    ):
+        """One command round: dispatch ``op`` to every shard, merge, account.
+
+        ``search_cfg`` is resolved for the query set; it (and ``map_cfg``
+        for ``map``) ships in every worker command, and ``merge`` folds
+        the per-shard results, in shard order, into the caller's answer.
+        A scheme the workers' engines were not built for fails here,
+        before the workers are started or sent anything.
+        """
+        if search_cfg.scheme != self.plan.search.resolved_scheme():
+            raise ValidationError(
+                "search scheme differs from the pool's: workers build their "
+                "engines from plan.search's scheme once; serve another scheme "
+                "from a pool built with it"
+            )
+        span_name, size_attr, counter, counter_help = _ROUNDS[op]
         tracer = get_tracer()
         with tracer.span(
-            "pool.map_topk",
+            span_name,
             parent=carrier,
             shards=self.num_shards,
-            reads=len(enc_reads),
+            **{size_attr: len(enc_queries)},
         ) as sp, self._lock:
             cold = self._ensure_workers() or self._cold_pending
             self._cold_pending = False
-            search_cfg = replace(cfg.search, hit_window=True).resolved_for(qmax)
-            map_cfg = replace(cfg, search=search_cfg)
             run = ShardRunStats(
                 num_shards=self.num_shards,
                 warm=not cold,
@@ -440,34 +468,16 @@ class ShardWorkerPool:
             )
             seq = self._next_seq()
             deadline = self._deadline(timeout)
+            # Workers trace under the round span's position, shipped as a
+            # plain carrier dict through the (picklable) command tuple.
             wcarrier = sp.context.to_carrier() if sp.context is not None else None
             messages = self._gather(
-                seq,
-                enc_reads,
-                search_cfg,
-                deadline,
-                wcarrier,
-                op="map",
-                extra=(map_cfg,),
+                op, seq, enc_queries, search_cfg, map_cfg, deadline, wcarrier
             )
-
+            for _, ws in messages:
+                run.add(ws)
             t0 = time.perf_counter()
-            with tracer.span("map.dedup", shards=len(messages)):
-                dd = DedupStats()
-                shard_lists = []
-                for per_read, ws in messages:
-                    run.add(ws)
-                    shard_lists.append(per_read)
-                merged = merge_mapped(
-                    shard_lists,
-                    num_reads=len(enc_reads),
-                    num_oriented=len(enc_reads) * cfg.orientations(),
-                    hit_k=search_cfg.k,
-                    k=cfg.k,
-                    min_score=search_cfg.min_score,
-                    stats=dd,
-                )
-                dd.seconds = time.perf_counter() - t0
+            merged = merge([results for results, _ in messages])
             run.merge_s = time.perf_counter() - t0
             run.total_s = time.perf_counter() - t_run
             self.stats.searches += 1
@@ -478,11 +488,9 @@ class ShardWorkerPool:
             self.stats.last_run = run
             reg = get_registry()
             if reg.enabled:
-                reg.counter(
-                    "pool_maps_total",
-                    "Pool mapping rounds, by worker warmth",
-                    labels=("mode",),
-                ).inc(mode="warm" if run.warm else "cold")
+                reg.counter(counter, counter_help, labels=("mode",)).inc(
+                    mode="warm" if run.warm else "cold"
+                )
             return merged
 
     def swap_reference(self, database) -> None:
@@ -808,23 +816,15 @@ class ShardWorkerPool:
         return messages
 
     def _gather(
-        self,
-        seq,
-        enc_queries,
-        search_cfg,
-        deadline,
-        carrier=None,
-        *,
-        op: str = "search",
-        extra: tuple = (),
+        self, op, seq, enc_queries, search_cfg, map_cfg, deadline, carrier
     ) -> list:
         """Staggered dispatch + gather: one result per shard, in shard order.
 
         At most :attr:`max_concurrent` shards hold a live command at any
         moment; the next pending shard is dispatched as each result
-        lands, clamping pool concurrency to the host.  ``op`` selects the
-        worker command (``search`` / ``map``) and ``extra`` appends its
-        op-specific arguments between the search config and the carrier.
+        lands, clamping pool concurrency to the host.  Every command has
+        the one shape ``(op, seq, queries, search_cfg, map_cfg, carrier)``
+        (``map_cfg`` is None for ``search``).
 
         When ``carrier`` is set, each command ships it so the worker
         traces under it; replies carry the worker's finished spans and
@@ -864,7 +864,7 @@ class ShardWorkerPool:
                     if rt.context is not None:
                         shard_carrier = rt.context.to_carrier()
                 self._cmd_qs[shard_id].put(
-                    (op, seq, enc_queries, search_cfg, *extra, shard_carrier)
+                    (op, seq, enc_queries, search_cfg, map_cfg, shard_carrier)
                 )
                 inflight.add(shard_id)
             try:

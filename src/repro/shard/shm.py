@@ -1,12 +1,11 @@
 """Shared-memory publication of the encoded reference.
 
-The spawn-per-search shard path shipped a *pickled copy* of the encoded
-reference to every worker — O(N) payload transfer in the worker count,
-and the dominant cost after process spawn itself.  This module publishes
-the reference **once** into a POSIX shared-memory segment
-(:mod:`multiprocessing.shared_memory`); workers attach read-only and get
-zero-copy NumPy views, so payload transfer is O(1) regardless of how
-many workers the pool runs.
+Shipping a *pickled copy* of the encoded reference to every worker costs
+O(N) payload transfer in the worker count — the dominant cost after
+process spawn itself.  This module publishes the reference **once** into
+a POSIX shared-memory segment (:mod:`multiprocessing.shared_memory`);
+workers attach read-only and get zero-copy NumPy views, so payload
+transfer is O(1) regardless of how many workers the pool runs.
 
 Layout: all encoded records are concatenated into one segment; the
 picklable :class:`SharedReferenceMeta` carries the segment name plus a

@@ -19,27 +19,29 @@ amortized over every subsequent search.
 Command protocol (parent → worker on the per-worker command queue; every
 reply carries ``(tag, shard_id, seq, ..., done_ts)`` on the shared result
 queue, where ``seq`` echoes the command's sequence number so the parent
-can discard stale replies after a failed run):
+can discard stale replies after a failed run).  Work commands share one
+shape, ``(op, seq, queries, search_cfg, map_cfg, carrier)``, and one
+reply, ``("ok", shard_id, seq, results, ShardWorkerStats, ts, obs)``.
+``search_cfg`` is a resolved :class:`~repro.search.pipeline.SearchConfig`
+that windows the resident reference for this call.  ``carrier`` (None =
+untraced) is a propagated trace position: the worker traces the command
+under it and ships the finished spans back in ``obs["spans"]``, alongside
+the metrics-registry delta since its previous reply (``obs["metrics"]`` —
+counters/histograms only, so cross-process merging never clobbers parent
+gauges) and its wall clock (``obs["wall"]``).
 
-* ``("search", seq, enc_queries, search_cfg[, carrier])`` → ``("ok",
-  shard_id, seq, results, ShardWorkerStats, ts, obs)`` — one bounded
-  per-query top-K over the shard's windows of the resident reference,
-  windowed per-call from ``search_cfg`` (a resolved
-  :class:`~repro.search.pipeline.SearchConfig`).  ``carrier`` (optional)
-  is a propagated trace position: the worker traces the search under it
-  and ships the finished spans back in ``obs["spans"]``, alongside the
-  metrics-registry delta since its previous reply (``obs["metrics"]`` —
-  counters/histograms only, so cross-process merging never clobbers
-  parent gauges) and its wall clock (``obs["wall"]``).
-* ``("map", seq, enc_reads, search_cfg, map_cfg[, carrier])`` → ``("ok",
-  shard_id, seq, per_read_placements, ShardWorkerStats, ts, obs)`` — the
-  full per-shard read-mapping stage
+* ``op == "search"`` (``map_cfg`` None) — ``results`` is one bounded
+  per-query top-K over the shard's windows of the resident reference.
+* ``op == "map"`` — ``map_cfg`` is a resolved
+  :class:`repro.mapping.MappingConfig` and ``results`` is the full
+  per-shard read-mapping stage
   (:func:`repro.mapping.shard_map_placements`): both-strand hit search
   over the shard's windows plus exact traceback extension, returning
   **pre-dedup** per-read placement lists (each placement still carrying
-  its source hit) for the parent's global merge.  ``map_cfg`` is a
-  resolved :class:`repro.mapping.MappingConfig`; obs/carrier semantics
-  as for ``search``.
+  its source hit) for the parent's global merge.
+
+Control commands:
+
 * ``("swap", seq, payload)`` → ``("swapped", shard_id, seq, attach_s,
   ts)`` — attach the new reference payload, then drop the old attachment;
   queries never observe a half-swapped state because the flip happens
@@ -178,12 +180,7 @@ def run_pool_worker(plan: ShardPlan, shard_id: int, payload, cmd_q, out_q) -> No
                         )
                     )
                 elif op in ("search", "map"):
-                    enc_queries, search_cfg = cmd[2], cmd[3]
-                    if op == "map":
-                        map_cfg = cmd[4]
-                        carrier = cmd[5] if len(cmd) > 5 else None
-                    else:
-                        carrier = cmd[4] if len(cmd) > 4 else None
+                    _, _, enc_queries, search_cfg, map_cfg, carrier = cmd
                     splan = replace(plan, search=search_cfg)
                     t0 = time.perf_counter()
                     source = resident.chunk_iter(splan, shard_id)

@@ -8,20 +8,19 @@ import numpy as np
 import pytest
 
 from repro.engine import EngineConfig, ExecutionEngine
+from repro.perf import shard_stats_table
 from repro.search import SearchConfig, TopKReducer, merge_topk, search_topk
 from repro.search.topk import Hit
 from repro.serve import ServiceConfig, SyncAlignmentClient
 from repro.shard import (
     ChunkPayload,
-    RecordPayload,
-    ShardedSearch,
     ShardError,
     ShardPlan,
     ShardRouter,
     ShardWorkerError,
     ShardWorkerPool,
-    build_payloads,
-    sharded_search_topk,
+    SharedRecordPayload,
+    build_pool_payloads,
 )
 from repro.util.checks import ReproError, ValidationError
 from repro.util.rng import make_rng
@@ -107,12 +106,12 @@ class TestConfigsPicklable:
             ShardPlan(num_shards=0)
 
     def test_resolved_plan_is_idempotent_and_picklable(self):
-        plan = ShardPlan(num_shards=2, search=SearchConfig(k=4))
-        resolved = plan.resolved_for(100)
-        assert resolved.search.window == 200
-        assert resolved.search.overlap == 116
+        resolved = SearchConfig(k=4).resolved_for(100)
+        assert resolved.window == 200
+        assert resolved.overlap == 116
         assert resolved.resolved_for(100) == resolved
-        assert pickle.loads(pickle.dumps(resolved)) == resolved
+        plan = ShardPlan(num_shards=2, search=resolved)
+        assert pickle.loads(pickle.dumps(plan)) == plan
 
     def test_engine_config_builds_engine(self):
         with EngineConfig(backend="rowscan", max_workers=1).build() as eng:
@@ -194,46 +193,66 @@ class TestMergeableTopK:
 class TestPayloads:
     def test_raw_sequence_ships_one_record(self):
         plan = ShardPlan(num_shards=3, search=SearchConfig(window=100, overlap=20))
-        payloads = build_payloads(random_genome(1000, seed=5), plan)
-        assert len(payloads) == 3
-        assert all(isinstance(p, RecordPayload) for p in payloads)
-        owned = [list(p.chunk_iter(plan, i)) for i, p in enumerate(payloads)]
-        ids = sorted(c.id for part in owned for c in part)
-        assert ids == list(range(len(ids))) and len(ids) > 0
+        payloads, segment, fingerprint = build_pool_payloads(
+            random_genome(1000, seed=5), plan
+        )
+        try:
+            assert len(payloads) == 3
+            assert all(isinstance(p, SharedRecordPayload) for p in payloads)
+            assert len({id(p) for p in payloads}) == 1  # one published copy
+            assert fingerprint == segment.meta.fingerprint
+            attached = payloads[0].attach()
+            owned = [list(attached.chunk_iter(plan, i)) for i in range(3)]
+            ids = sorted(c.id for part in owned for c in part)
+            assert ids == list(range(len(ids))) and len(ids) > 0
+            del owned  # chunk views pin the attachment's mapping
+            attached.close()
+        finally:
+            segment.destroy()
 
     def test_prewindowed_chunks_partition(self):
         chunks = list(chunk_sequence(random_genome(1000, seed=6), 100, 20))
         plan = ShardPlan(num_shards=2)
-        payloads = build_payloads(iter(chunks), plan)
+        payloads, segment, _ = build_pool_payloads(iter(chunks), plan)
+        assert segment is None
         assert all(isinstance(p, ChunkPayload) for p in payloads)
         got = [c.id for p in payloads for c in p.chunks]
         assert sorted(got) == [c.id for c in chunks]
 
     def test_unresolved_plan_refuses_to_window(self):
         plan = ShardPlan(num_shards=2)  # no window/overlap resolved
-        (payload, _) = build_payloads(random_genome(500, seed=7), plan)
-        with pytest.raises(ValidationError, match="unresolved"):
-            list(payload.chunk_iter(plan, 0))
+        payloads, segment, _ = build_pool_payloads(random_genome(500, seed=7), plan)
+        attached = payloads[0].attach()
+        try:
+            with pytest.raises(ValidationError, match="unresolved"):
+                list(attached.chunk_iter(plan, 0))
+        finally:
+            attached.close()
+            segment.destroy()
 
 
 class TestShardedSearch:
+    """One-shot runs: a pool used once, torn down by its ``with`` block."""
+
     def test_four_shards_bit_identical_spawn(self):
         """Acceptance: 4 spawn workers return the single-process hit set."""
         ref, queries = _planted_instance(30000, 8, 100, seed=21)
         single = search_topk(queries, ref, k=5)
-        sharded = ShardedSearch(num_shards=4, k=5, timeout=300)
-        got = sharded.search_topk(queries, ref)
+        with ShardWorkerPool(ref, num_shards=4, k=5, timeout=300) as pool:
+            assert pool.plan.start_method == "spawn"
+            got = pool.search_topk(queries)
+            stats = pool.stats.last_run
         assert _hit_keys(got) == _hit_keys(single)
-        stats = sharded.stats
         assert len(stats.workers) == 4
         assert stats.totals()["pairs"] > 0
         assert all(w.queue_wait_s >= 0.0 for w in stats.workers)
-        assert "Sharded search (4 shards)" in sharded.report()
+        assert "Sharded search (4 shards)" in shard_stats_table(stats)
 
     def test_single_shard_degenerate(self):
         ref, queries = _planted_instance(12000, 4, 80, seed=22)
         plan = ShardPlan(num_shards=1, search=SearchConfig(k=3), start_method="fork")
-        got = ShardedSearch(plan=plan, timeout=120).search_topk(queries, ref)
+        with ShardWorkerPool(ref, plan=plan, timeout=120) as pool:
+            got = pool.search_topk(queries)
         assert _hit_keys(got) == _hit_keys(search_topk(queries, ref, k=3))
 
     def test_multi_record_database(self):
@@ -244,41 +263,32 @@ class TestShardedSearch:
         ]
         queries = [records[i % 3].sequence[200:280] for i in range(5)]
         plan = ShardPlan(num_shards=3, search=SearchConfig(k=4), start_method="fork")
-        got = ShardedSearch(plan=plan, timeout=120).search_topk(queries, records)
+        with ShardWorkerPool(records, plan=plan, timeout=120) as pool:
+            got = pool.search_topk(queries)
         assert _hit_keys(got) == _hit_keys(search_topk(queries, records, k=4))
 
     def test_prewindowed_chunk_database(self):
         ref, queries = _planted_instance(10000, 3, 80, seed=24)
         chunks = list(chunk_sequence(ref, 160, 96))
         plan = ShardPlan(num_shards=2, search=SearchConfig(k=3), start_method="fork")
-        got = ShardedSearch(plan=plan, timeout=120).search_topk(queries, iter(chunks))
+        with ShardWorkerPool(iter(chunks), plan=plan, timeout=120) as pool:
+            got = pool.search_topk(queries)
         assert _hit_keys(got) == _hit_keys(search_topk(queries, chunks, k=3))
 
-    def test_convenience_wrapper(self):
-        ref, queries = _planted_instance(8000, 2, 80, seed=25)
-        plan_kwargs = dict(k=2, kmer=9)
-        got = sharded_search_topk(
-            queries, ref, num_shards=2,
-            plan=ShardPlan(num_shards=2, search=SearchConfig(**plan_kwargs),
-                           start_method="fork"),
-            timeout=120,
-        )
-        assert _hit_keys(got) == _hit_keys(search_topk(queries, ref, **plan_kwargs))
-
     def test_engine_kwarg_rejected(self):
-        with pytest.raises(ReproError, match="EngineConfig"):
-            ShardedSearch(2, engine=object())
+        with pytest.raises(ValidationError, match="engine"):
+            ShardWorkerPool(random_genome(500, seed=25), 2, engine=object())
 
     def test_plan_and_kwargs_conflict(self):
         with pytest.raises(ReproError, match="not both"):
-            ShardedSearch(2, plan=ShardPlan(num_shards=2), k=5)
+            ShardWorkerPool(num_shards=2, plan=ShardPlan(num_shards=2), k=5)
 
     def test_plan_and_num_shards_conflict(self):
         with pytest.raises(ReproError, match="conflicts"):
-            ShardedSearch(8, plan=ShardPlan(num_shards=2))
+            ShardWorkerPool(num_shards=8, plan=ShardPlan(num_shards=2))
         # A matching explicit count (or none at all) is fine.
-        assert ShardedSearch(2, plan=ShardPlan(num_shards=2)).plan.num_shards == 2
-        assert ShardedSearch(plan=ShardPlan(num_shards=2)).plan.num_shards == 2
+        assert ShardWorkerPool(num_shards=2, plan=ShardPlan(num_shards=2)).num_shards == 2
+        assert ShardWorkerPool(plan=ShardPlan(num_shards=2)).num_shards == 2
 
 
 class _ExitBomb:
@@ -307,18 +317,12 @@ class _HangBomb:
         return iter(())
 
 
-class _BombedSearch(ShardedSearch):
-    def __init__(self, bomb, **kwargs):
-        super().__init__(**kwargs)
-        self._bomb = bomb
-
-    def _payloads(self, database, plan):
-        return [self._bomb] * plan.num_shards
-
-
 class TestWorkerFailures:
     def _plan(self):
         return ShardPlan(num_shards=2, start_method="fork")
+
+    def _bombed(self, bomb, timeout=120):
+        return ShardWorkerPool(plan=self._plan(), timeout=timeout, payloads=[bomb] * 2)
 
     def test_worker_exception_surfaces(self):
         ref, queries = _planted_instance(4000, 2, 80, seed=26)
@@ -327,14 +331,15 @@ class TestWorkerFailures:
             engine=EngineConfig(backend="no-such-backend"),
         )
         with pytest.raises(ShardWorkerError, match="worker raised"):
-            ShardedSearch(plan=plan, timeout=120).search_topk(queries, ref)
+            with ShardWorkerPool(ref, plan=plan, timeout=120) as pool:
+                pool.search_topk(queries)
 
     def test_worker_hard_crash_is_error_not_hang(self):
-        ref, queries = _planted_instance(4000, 2, 80, seed=27)
-        sharded = _BombedSearch(_ExitBomb(), plan=self._plan(), timeout=120)
+        _, queries = _planted_instance(4000, 2, 80, seed=27)
         t0 = time.perf_counter()
-        with pytest.raises(ShardWorkerError, match="exit code 3"):
-            sharded.search_topk(queries, ref)
+        with self._bombed(_ExitBomb()) as pool:
+            with pytest.raises(ShardWorkerError, match="exit code 3"):
+                pool.search_topk(queries)
         assert time.perf_counter() - t0 < 60
 
     def test_silent_exit0_death_is_error_not_hang(self, monkeypatch):
@@ -342,18 +347,18 @@ class TestWorkerFailures:
         import repro.shard.pool as shard_pool
 
         monkeypatch.setattr(shard_pool, "_DEAD_GRACE_S", 0.5)
-        ref, queries = _planted_instance(4000, 2, 80, seed=29)
-        sharded = _BombedSearch(_SilentExitBomb(), plan=self._plan(), timeout=120)
+        _, queries = _planted_instance(4000, 2, 80, seed=29)
         t0 = time.perf_counter()
-        with pytest.raises(ShardWorkerError, match="never reported"):
-            sharded.search_topk(queries, ref)
+        with self._bombed(_SilentExitBomb()) as pool:
+            with pytest.raises(ShardWorkerError, match="never reported"):
+                pool.search_topk(queries)
         assert time.perf_counter() - t0 < 60
 
     def test_gather_timeout(self):
-        ref, queries = _planted_instance(4000, 2, 80, seed=28)
-        sharded = _BombedSearch(_HangBomb(), plan=self._plan(), timeout=2.0)
-        with pytest.raises(ShardError, match="timed out"):
-            sharded.search_topk(queries, ref)
+        _, queries = _planted_instance(4000, 2, 80, seed=28)
+        with self._bombed(_HangBomb(), timeout=2.0) as pool:
+            with pytest.raises(ShardError, match="timed out"):
+                pool.search_topk(queries)
 
 
 class TestShardRouter:

@@ -7,9 +7,12 @@ Covers the two satellite checklists of the pool PR:
   idempotent, and a worker attaching after a reference swap sees the new
   reference (old hits impossible);
 * pool reuse — two warm ``search_topk`` calls return bit-identical
-  results to two fresh one-shot ``ShardedSearch`` runs and to the
-  ``exhaustive_topk`` oracle, and a worker killed between calls is
-  respawned (or surfaced) rather than wedging the next call.
+  results to two fresh one-shot pool runs and to the ``exhaustive_topk``
+  oracle, and a worker killed between calls is respawned (or surfaced)
+  rather than wedging the next call;
+* call validation — a bad per-call override or a scheme the workers
+  cannot serve fails in the parent, sends no command, and leaves the
+  pool's cold/warm accounting intact.
 """
 
 import glob
@@ -19,25 +22,29 @@ import time
 
 import pytest
 
+from repro.core.scoring import (
+    linear_gap_scoring,
+    semiglobal_scheme,
+    simple_subst_scoring,
+)
 from repro.engine import EngineConfig
+from repro.mapping import MappingConfig, map_reads, placement_key
 from repro.search import SearchConfig, search_topk
 from repro.search.pipeline import exhaustive_topk
 from repro.shard import (
     ChunkPayload,
-    ShardedSearch,
     ShardError,
     ShardPlan,
     ShardWorkerError,
     ShardWorkerPool,
-    SharedRecordPayload,
     build_pool_payloads,
-    fingerprint_database,
     publish_records,
 )
 from repro.shard.shm import SEGMENT_PREFIX, attach_segment, fingerprint_records
-from repro.util.checks import ReproError
+from repro.util.checks import ReproError, ValidationError
 from repro.util.encoding import encode
 from repro.workloads import FastaRecord, chunk_sequence, random_genome
+from repro.workloads.reads import read_pairs
 
 from helpers import hit_keys, planted_instance
 
@@ -169,24 +176,15 @@ class TestSharedMemoryLifecycle:
         finally:
             seg.destroy()
 
-    def test_fingerprint_database_matches_publication(self):
-        ref = random_genome(2000, seed=51)
-        plan = _plan()
-        payloads, seg, fingerprint = build_pool_payloads(ref, plan)
-        try:
-            assert all(isinstance(p, SharedRecordPayload) for p in payloads)
-            assert fingerprint == seg.meta.fingerprint
-            assert fingerprint_database(ref) == fingerprint
-            assert fingerprint_database(random_genome(2000, seed=52)) != fingerprint
-        finally:
-            seg.destroy()
-
     def test_chunk_database_ships_pickled_without_segment(self):
         chunks = list(chunk_sequence(random_genome(1500, seed=53), 150, 30))
         payloads, seg, fingerprint = build_pool_payloads(iter(chunks), _plan())
         assert seg is None
         assert all(isinstance(p, ChunkPayload) for p in payloads)
-        assert fingerprint == fingerprint_database(chunks)
+        # The fingerprint is a pure function of the chunk list's content.
+        assert fingerprint == build_pool_payloads(chunks, _plan())[2]
+        shifted = list(chunk_sequence(random_genome(1500, seed=54), 150, 30))
+        assert fingerprint != build_pool_payloads(shifted, _plan())[2]
 
 
 class TestPoolLifecycle:
@@ -230,7 +228,7 @@ class TestPoolLifecycle:
         ref2, queries2, _ = planted_instance(9000, 3, 80, seed=58)
         with ShardWorkerPool(ref1, plan=_plan(k=3), timeout=120) as pool:
             before = pool.search_topk(queries1)
-            old = pool.segment_name
+            old, old_fingerprint = pool.segment_name, pool.fingerprint
             pool.swap_reference(ref2)
             assert pool.segment_name != old
             assert not os.path.exists(f"/dev/shm/{old}")
@@ -238,8 +236,9 @@ class TestPoolLifecycle:
             # single-process run over ref2 exactly.
             got = pool.search_topk(queries2)
             assert hit_keys(got) == hit_keys(search_topk(queries2, ref2, k=3))
-            assert pool.serves(fingerprint_database(ref2))
-            assert not pool.serves(fingerprint_database(ref1))
+            _, segment, fingerprint = build_pool_payloads(ref2, _plan())
+            segment.destroy()
+            assert pool.fingerprint == fingerprint != old_fingerprint
             assert pool.stats.swaps == 1
         assert hit_keys(before) == hit_keys(search_topk(queries1, ref1, k=3))
 
@@ -258,6 +257,7 @@ class TestPoolLifecycle:
         ref2, _, _ = planted_instance(9000, 3, 80, seed=72)
         with ShardWorkerPool(ref1, plan=_plan(k=3), timeout=120) as pool:
             first = pool.search_topk(queries)
+            fingerprint = pool.fingerprint
             entries_before = set(_shm_entries())
             real_build = pool_mod.build_pool_payloads
 
@@ -272,14 +272,22 @@ class TestPoolLifecycle:
             monkeypatch.undo()
             # New segment destroyed, old one intact; pool still serves ref1.
             assert set(_shm_entries()) == entries_before
-            assert pool.serves(fingerprint_database(ref1))
-            assert not pool.serves(fingerprint_database(ref2))
+            assert pool.fingerprint == fingerprint
             # Every worker respawns onto the old payloads: bit-identical
             # to the pre-swap answer, no half-swapped worker surviving.
             after = pool.search_topk(queries)
             assert pool.stats.respawns == pool.num_shards
             assert hit_keys(after) == hit_keys(first)
             assert hit_keys(after) == hit_keys(search_topk(queries, ref1, k=3))
+
+    def test_one_shot_pool_tears_down(self):
+        ref, queries, _ = planted_instance(6000, 2, 80, seed=68)
+        with ShardWorkerPool(ref, plan=_plan(k=3), timeout=120) as pool:
+            got = pool.search_topk(queries)
+        assert pool.closed and pool.liveness() is None  # nothing resident
+        assert not _shm_entries()
+        assert hit_keys(got) == hit_keys(search_topk(queries, ref, k=3))
+        assert pool.stats.last_run.warm is False and pool.stats.last_run.spawn_s > 0
 
     def test_ping_and_report(self):
         ref, _, _ = planted_instance(4000, 2, 80, seed=59)
@@ -316,8 +324,11 @@ class TestPoolReuse:
             assert pool.stats.warm_searches == 1
             assert pool.stats.cold_searches == 1
             assert pool.stats.spawns == 2  # workers spawned exactly once
-        fresh1 = ShardedSearch(plan=_plan(**kw), timeout=120).search_topk(queries, ref)
-        fresh2 = ShardedSearch(plan=_plan(**kw), timeout=120).search_topk(queries, ref)
+        fresh = []
+        for _ in range(2):
+            with ShardWorkerPool(ref, plan=_plan(**kw), timeout=120) as one_shot:
+                fresh.append(one_shot.search_topk(queries))
+        fresh1, fresh2 = fresh
         oracle = exhaustive_topk(
             queries, ref, k=3, min_score=80, window=120, overlap=76
         )
@@ -407,28 +418,49 @@ class TestRouterWithPool:
         assert isinstance(score, int)
 
 
-class TestPersistentShardedSearch:
-    def test_facade_reuses_pool_and_swaps_on_new_database(self):
-        ref1, queries1, _ = planted_instance(8000, 3, 80, seed=66)
-        ref2, queries2, _ = planted_instance(7000, 3, 80, seed=67)
-        with ShardedSearch(plan=_plan(k=3), timeout=120, persistent=True) as sharded:
-            a = sharded.search_topk(queries1, ref1)
-            pool = sharded.pool
-            b = sharded.search_topk(queries1, ref1)
-            assert sharded.pool is pool and pool.stats.swaps == 0
-            assert pool.stats.warm_searches == 1
-            c = sharded.search_topk(queries2, ref2)
-            assert sharded.pool is pool and pool.stats.swaps == 1
-            assert sharded.stats.warm  # swap flips the reference, no respawn
-        assert pool.closed
-        assert hit_keys(a) == hit_keys(b) == hit_keys(search_topk(queries1, ref1, k=3))
-        assert hit_keys(c) == hit_keys(search_topk(queries2, ref2, k=3))
+class TestCallValidation:
+    """Bad per-call input fails in the parent, before any command is sent."""
 
-    def test_one_shot_facade_still_tears_down(self):
-        ref, queries, _ = planted_instance(6000, 2, 80, seed=68)
-        sharded = ShardedSearch(plan=_plan(k=3), timeout=120)
-        got = sharded.search_topk(queries, ref)
-        assert sharded.pool is None  # nothing resident
-        assert not _shm_entries()
+    def _other_scheme(self):
+        return semiglobal_scheme(linear_gap_scoring(simple_subst_scoring(3, -2), -2))
+
+    def test_bad_override_keeps_the_cold_flag(self):
+        ref, queries, _ = planted_instance(6000, 2, 80, seed=73)
+        with ShardWorkerPool(ref, plan=_plan(k=3), timeout=120) as pool:
+            with pytest.raises(ValidationError, match="bogus"):
+                pool.search_topk(queries, bogus=1)
+            assert not pool.started  # validated before the workers spawned
+            got = pool.search_topk(queries)
+            assert pool.stats.cold_searches == 1
+            assert pool.stats.warm_searches == 0
+            assert pool.stats.last_run.warm is False
         assert hit_keys(got) == hit_keys(search_topk(queries, ref, k=3))
-        assert sharded.stats.warm is False and sharded.stats.spawn_s > 0
+
+    def test_search_scheme_mismatch_fails_in_parent(self):
+        ref, queries, _ = planted_instance(6000, 2, 80, seed=74)
+        with ShardWorkerPool(ref, plan=_plan(k=3), timeout=120) as pool:
+            first = pool.search_topk(queries)
+            seq = pool._seq
+            with pytest.raises(ValidationError, match="scheme"):
+                pool.search_topk(queries, scheme=self._other_scheme())
+            assert pool._seq == seq and pool.stats.searches == 1  # nothing sent
+            after = pool.search_topk(queries)
+            assert pool.stats.respawns == 0
+        assert hit_keys(after) == hit_keys(first)
+        assert hit_keys(after) == hit_keys(search_topk(queries, ref, k=3))
+
+    def test_map_scheme_mismatch_fails_in_parent(self):
+        rs = read_pairs(6, read_length=80, reference_length=6000, seed=75)
+        reads = [rs.reads[i] for i in range(len(rs))]
+        other = MappingConfig(search=SearchConfig(verify="full", scheme=self._other_scheme()))
+        with ShardWorkerPool(rs.reference, plan=_plan(), timeout=120) as pool:
+            with pytest.raises(ValidationError, match="scheme"):
+                pool.map_topk(reads, config=other)
+            assert not pool.started and pool._seq == 0  # nothing sent
+            got = pool.map_topk(reads, min_score=120)
+            assert pool.stats.cold_searches == 1
+        want = map_reads(rs, rs.reference, min_score=120).placements
+        assert [[placement_key(p) for p in ps] for ps in got] == [
+            [placement_key(p) for p in ps] for ps in want
+        ]
+
