@@ -35,7 +35,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.backend import INLINE_BACKENDS as _INLINE
-from repro.core.backend import normalize_name
 from repro.core.kernels import fill_matrix, score_lanes, score_rowscan
 from repro.core.recurrence import align_reference, score_reference
 from repro.core.scoring import default_scheme
@@ -66,7 +65,6 @@ def register_backend(name: str):
     return wrap
 
 
-@register_backend("core")
 class Aligner:
     """Pairwise aligner specialized on one scheme.
 
@@ -103,9 +101,7 @@ class Aligner:
         from repro.core.backend import available_backends
 
         self.scheme = scheme if scheme is not None else default_scheme()
-        self.backend = check_in(
-            normalize_name(backend), available_backends(), "backend"
-        )
+        self.backend = check_in(backend, available_backends(), "backend")
         self.dtype = np.dtype(dtype)
         self.traceback_cutoff = int(traceback_cutoff)
         self.backend_opts = backend_opts
@@ -116,7 +112,7 @@ class Aligner:
     # -- dispatch plumbing -------------------------------------------------
     @classmethod
     def capabilities(cls):
-        """Capabilities of the registered ``core`` entry (rowscan mode)."""
+        """Capabilities of the frontend's default (``rowscan``) mode."""
         from repro.core.backend import _INLINE_CAPS
 
         return _INLINE_CAPS["rowscan"]

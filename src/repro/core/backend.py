@@ -37,20 +37,10 @@ __all__ = [
     "capability_matrix",
     "create_backend",
     "ensure_backends_registered",
-    "normalize_name",
     "select_backend",
     "INLINE_BACKENDS",
 ]
 
-
-def normalize_name(name: str) -> str:
-    """Canonical backend name: registry aliases of the frontend fold away.
-
-    ``core`` is the :class:`Aligner` class registered under its own name;
-    dispatch-wise it IS the ``rowscan`` strategy.  Every frontend
-    normalizes through here so the alias is encoded exactly once.
-    """
-    return "rowscan" if name == "core" else name
 
 #: Names handled by :class:`Aligner` itself (staged-kernel strategies).
 INLINE_BACKENDS = frozenset({"rowscan", "scalar", "reference"})
@@ -231,8 +221,6 @@ def select_backend(
     """
     candidates = []
     for name, caps in capability_matrix().items():
-        if normalize_name(name) != name:
-            continue  # registry alias of another candidate (e.g. "core")
         if caps.simulated or caps.comparator:
             continue
         if not caps.supports_scheme(scheme):
@@ -281,7 +269,6 @@ def create_backend(name: str, scheme: AlignmentScheme | None = None, **opts) -> 
     from repro.core.aligner import BACKEND_FACTORIES, Aligner
 
     ensure_backends_registered()
-    name = normalize_name(name)
     if name in INLINE_BACKENDS or name == "auto":
         return Aligner(scheme, backend=name, **_filter_ctor_opts(Aligner, opts))
     if name not in BACKEND_FACTORIES:
@@ -289,8 +276,6 @@ def create_backend(name: str, scheme: AlignmentScheme | None = None, **opts) -> 
             f"backend must be one of {sorted(available_backends())!r}, got {name!r}"
         )
     cls = BACKEND_FACTORIES[name]
-    if cls is Aligner:  # registered alias of the frontend itself
-        return Aligner(scheme, backend="rowscan", **_filter_ctor_opts(Aligner, opts))
     inner = cls(scheme, **_filter_ctor_opts(cls, opts))
     if isinstance(inner, Backend):
         return inner

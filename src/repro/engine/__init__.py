@@ -15,10 +15,9 @@ from repro.engine.batching import (
     ShapeBucket,
     encode_pairs,
     group_by_shape,
-    request_graph,
 )
 from repro.engine.engine import EngineConfig, EngineStats, ExecutionEngine
-from repro.engine.executor import BatchExecutor, ExecStats, PlanExecutorStage
+from repro.engine.executor import BatchExecutor, PlanExecutorStage
 from repro.engine.plans import ExecutionPlan, PlanCache, global_plan_cache
 from repro.engine.stages import (
     Batch,
@@ -34,12 +33,10 @@ __all__ = [
     "ShapeBatcher",
     "encode_pairs",
     "group_by_shape",
-    "request_graph",
     "EngineConfig",
     "EngineStats",
     "ExecutionEngine",
     "BatchExecutor",
-    "ExecStats",
     "PlanExecutorStage",
     "ExecutionPlan",
     "PlanCache",

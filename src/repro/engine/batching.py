@@ -6,11 +6,6 @@ invocation, exactly the paper's "blocks that consist of rows from
 independent submatrices".  This generalises the grouping logic that used
 to live inside ``Aligner.score_batch`` so the frontend, the adapters, and
 the execution engine all share one bucketing implementation.
-
-For scheduler-driven execution each request is also expressible as a
-degenerate single-tile :class:`~repro.sched.tilegraph.TileGrid`, letting
-:class:`~repro.sched.dynamic.DynamicWavefrontScheduler` apply its
-lane-blocking pop logic across *pairs* instead of submatrices.
 """
 
 from __future__ import annotations
@@ -20,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.stages import Batch, Request
-from repro.sched.tilegraph import TileGraph, TileGrid
 from repro.util.checks import ValidationError, check_positive
 from repro.util.encoding import encode
 
@@ -29,7 +23,6 @@ __all__ = [
     "ShapeBatcher",
     "encode_pairs",
     "group_by_shape",
-    "request_graph",
 ]
 
 
@@ -128,16 +121,3 @@ class ShapeBatcher:
         """Requests buffered in partial buckets (backpressure signal)."""
         return self._pending
 
-
-def request_graph(enc_q: list, enc_s: list) -> TileGraph:
-    """One single-tile grid per pair: a dependency-free request pool.
-
-    Every tile is immediately ready; the dynamic scheduler's shape-grouped
-    queue then hands out lane blocks of same-shape *pairs* with the same
-    logic it uses for same-shape submatrices of one long alignment.
-    ``tile.alignment_id`` is the request index.
-    """
-    grids = []
-    for k, (q, s) in enumerate(zip(enc_q, enc_s)):
-        grids.append(TileGrid.build(k, q.size, s.size, q.size, s.size, id_base=k))
-    return TileGraph(grids)

@@ -30,11 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.backend import available_backends, normalize_name, select_backend
+from repro.core.backend import available_backends, select_backend
 from repro.core.scoring import default_scheme
 from repro.core.types import AlignmentScheme
 from repro.engine.batching import ShapeBatcher, encode_pairs
-from repro.engine.executor import BatchExecutor, ExecStats, PlanExecutorStage
+from repro.engine.executor import BatchExecutor, PlanExecutorStage
 from repro.engine.plans import PlanCache, global_plan_cache
 from repro.engine.stages import Batch, PipelineStats, Request, ScoreCollector, StreamPipeline
 from repro.util.checks import check_in, check_no_callables
@@ -91,39 +91,26 @@ class EngineConfig:
 class EngineStats:
     """Cumulative work accounting of one engine instance.
 
+    ``pipeline`` is the one work ledger: every entry point — scores, streams
+    and alignments alike — folds its pairs, cells, lane blocks and scalar
+    pops into it, so ``pipeline.batches == lane_blocks + scalar_pops``.
+    ``backends_used`` counts entry-point calls per resolved backend.
     Thread-safe: the serving front submits batches from executor threads
-    concurrently, so every mutation — :meth:`record`, :meth:`absorb`,
-    :meth:`absorb_exec` — happens under one lock.  The shared ``exec``
-    object must never be handed to code that mutates it under a *different*
-    lock (that was the old ``align_batch`` race); callers accumulate into a
-    private :class:`~repro.engine.executor.ExecStats` and fold it in via
-    :meth:`absorb_exec`.
+    concurrently, so :meth:`record` and :meth:`absorb` mutate under one lock.
     """
 
-    batches: int = 0
-    exec: ExecStats = field(default_factory=ExecStats)
     pipeline: PipelineStats = field(default_factory=PipelineStats)
     backends_used: dict = field(default_factory=dict)
     _lock: object = field(default_factory=threading.Lock, repr=False)
 
     def record(self, backend: str):
         with self._lock:
-            self.batches += 1
             self.backends_used[backend] = self.backends_used.get(backend, 0) + 1
 
     def absorb(self, ps: PipelineStats):
-        """Fold one pipeline run into the cumulative accounting."""
+        """Fold one run's :class:`PipelineStats` into the cumulative ledger."""
         with self._lock:
             self.pipeline.merge(ps)
-            self.exec.pairs += ps.pairs
-            self.exec.cells += ps.cells_computed
-            self.exec.lane_blocks += ps.lane_blocks
-            self.exec.scalar_pops += ps.scalar_pops
-
-    def absorb_exec(self, es: ExecStats):
-        """Fold a privately accumulated executor run into the accounting."""
-        with self._lock:
-            self.exec.merge(es)
 
 
 class ExecutionEngine:
@@ -185,7 +172,6 @@ class ExecutionEngine:
     def _resolve(self, backend, enc_q, enc_s, need_traceback=False) -> str:
         name = backend if backend is not None else self.backend
         check_in(name, available_backends(), "backend")
-        name = normalize_name(name)
         if name == "auto":
             extent = max(max(q.size for q in enc_q), max(s.size for s in enc_s))
             name = select_backend(
@@ -200,7 +186,6 @@ class ExecutionEngine:
         """Resolve and cache the plan auto would use for a workload shape."""
         name = backend if backend is not None else self.backend
         check_in(name, available_backends(), "backend")
-        name = normalize_name(name)
         if name == "auto":
             name = select_backend(self.scheme, pairs=pairs, extent=extent)
         return self.plan_cache.get_or_build(self.scheme, name, self.dtype)
@@ -301,15 +286,16 @@ class ExecutionEngine:
             for off in range(0, len(batch.requests), lanes)
         ]
         scores = np.concatenate([stage.execute(part) for part in parts])
-        dt = time.perf_counter() - t0
-        ps = PipelineStats()
-        ps.items_in = ps.candidates = ps.admitted = ps.pairs = len(batch)
-        ps.batches = len(parts)
-        ps.lane_blocks = sum(1 for p in parts if len(p) > 1)
-        ps.scalar_pops = sum(1 for p in parts if len(p) == 1)
-        ps.cells_computed = batch.cells
-        ps.stages["execute"].add(dt, len(batch))
-        self.stats.absorb(ps)
+        lane_blocks = sum(1 for p in parts if len(p) > 1)
+        self.stats.absorb(
+            _direct_stats(
+                len(batch),
+                batch.cells,
+                lane_blocks=lane_blocks,
+                scalar_pops=len(parts) - lane_blocks,
+                seconds=time.perf_counter() - t0,
+            )
+        )
         return scores
 
     def run(self, requests, backend: str | None = None) -> np.ndarray:
@@ -349,7 +335,6 @@ class ExecutionEngine:
         q0, s0 = encode(first[0]), encode(first[1])
         name = backend if backend is not None else self.backend
         check_in(name, available_backends(), "backend")
-        name = normalize_name(name)
         if name == "auto":
             # A stream is the many-pairs regime by definition; extent from
             # the first pair is the only shape information available.
@@ -384,13 +369,18 @@ class ExecutionEngine:
         name = self._resolve(backend, enc_q, enc_s, need_traceback=True)
         plan = self.plan_cache.get_or_build(self.scheme, name, self.dtype)
         self.stats.record(name)
-        # Accumulate into a private ExecStats and fold it in under the
-        # engine lock: run_aligns mutates its stats argument under the
-        # *executor's* lock, which must never interleave with absorb()
-        # mutating the same object under the engine lock.
-        local = ExecStats()
-        results = self.executor.run_aligns(plan, enc_q, enc_s, local)
-        self.stats.absorb_exec(local)
+        t0 = time.perf_counter()
+        results = self.executor.run_aligns(plan, enc_q, enc_s)
+        # Traceback has no lane kernel: every pair is one scalar pop.
+        self.stats.absorb(
+            _direct_stats(
+                len(enc_q),
+                sum(q.size * s.size for q, s in zip(enc_q, enc_s)),
+                lane_blocks=0,
+                scalar_pops=len(enc_q),
+                seconds=time.perf_counter() - t0,
+            )
+        )
         return results
 
     # -- introspection -----------------------------------------------------
@@ -406,6 +396,21 @@ class ExecutionEngine:
             f"ExecutionEngine({at}, backend={self.backend!r}, "
             f"workers={self.executor.max_workers}, lanes={self.executor.lanes})"
         )
+
+
+def _direct_stats(
+    pairs: int, cells: int, lane_blocks: int, scalar_pops: int, seconds: float
+) -> PipelineStats:
+    """Ledger entry for work executed without a pipeline (no prefilter,
+    no batcher): every pair is admitted, every block is one batch."""
+    ps = PipelineStats()
+    ps.items_in = ps.candidates = ps.admitted = ps.pairs = pairs
+    ps.batches = lane_blocks + scalar_pops
+    ps.lane_blocks = lane_blocks
+    ps.scalar_pops = scalar_pops
+    ps.cells_computed = cells
+    ps.stages["execute"].add(seconds, pairs)
+    return ps
 
 
 class _NullSink:

@@ -12,16 +12,11 @@ interpreter exit.
 :class:`~repro.engine.plans.ExecutionPlan` to the pipeline's
 :class:`~repro.engine.stages.ExecutorStage` protocol (full-DP lane blocks);
 the banded verification stage of :mod:`repro.search` implements the same
-protocol over :func:`repro.core.banded.banded_score`.
-
-The scheduler-driven entry points (:meth:`BatchExecutor.run_scores` /
-:meth:`run_aligns`) remain: they reuse
-:class:`~repro.sched.dynamic.DynamicWavefrontScheduler` verbatim — each
-request becomes a single-tile grid (see
-:func:`repro.engine.batching.request_graph`), so the scheduler's
-shape-grouped queue hands workers lane blocks of same-shape *pairs* — the
-identical pop-a-vector-block-else-fall-back-to-scalar logic the paper uses
-for submatrices, applied one level up.
+protocol over :func:`repro.core.banded.banded_score`.  Scoring always runs
+through that pipeline (or, for pre-bucketed serving batches, straight
+through the stage); :meth:`BatchExecutor.run_aligns` is the one
+non-pipeline entry point — traceback has no lane kernel, so alignments
+run pair-parallel across the pool's threads.
 """
 
 from __future__ import annotations
@@ -29,32 +24,13 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.batching import request_graph
 from repro.engine.stages import Batch
-from repro.sched.dynamic import DynamicWavefrontScheduler
 from repro.util.checks import ReproError, check_positive
 
-__all__ = ["BatchExecutor", "ExecStats", "PlanExecutorStage"]
-
-
-@dataclass
-class ExecStats:
-    """Work accounting of executor runs (merged into engine stats)."""
-
-    pairs: int = 0
-    cells: int = 0
-    lane_blocks: int = 0
-    scalar_pops: int = 0
-
-    def merge(self, other: "ExecStats"):
-        self.pairs += other.pairs
-        self.cells += other.cells
-        self.lane_blocks += other.lane_blocks
-        self.scalar_pops += other.scalar_pops
+__all__ = ["BatchExecutor", "PlanExecutorStage"]
 
 
 class PlanExecutorStage:
@@ -88,9 +64,6 @@ class BatchExecutor:
             max_workers = min(8, os.cpu_count() or 1)
         self.max_workers = check_positive(max_workers, "max_workers")
         self.lanes = check_positive(lanes, "lanes")
-        # Guards stats mutation across workers AND across concurrent
-        # run_scores/run_aligns calls sharing one stats object.
-        self._stats_lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         self._closed = False
@@ -137,88 +110,19 @@ class BatchExecutor:
         except Exception:
             pass
 
-    # -- scheduler-driven batch runs ---------------------------------------
-    def _drain(self, sched, pop, plan, enc_q, enc_s, out, stats, lock):
-        while True:
-            block = pop()
-            if not block:
-                return
-            if len(block) > 1:
-                idx = [t.alignment_id for t in block]
-                scores = plan.score_block(
-                    np.stack([enc_q[i] for i in idx]),
-                    np.stack([enc_s[i] for i in idx]),
-                )
-                out[np.asarray(idx)] = scores
-                with lock:
-                    stats.lane_blocks += 1
-            else:
-                t = block[0]
-                out[t.alignment_id] = plan.score_one(enc_q[t.alignment_id], enc_s[t.alignment_id])
-                with lock:
-                    stats.scalar_pops += 1
-            sched.complete(block)
-
-    def run_scores(self, plan, enc_q: list, enc_s: list, stats: ExecStats | None = None) -> np.ndarray:
-        """Scores for encoded pairs; lane-blocked, thread-pooled."""
-        if self._closed:
-            raise ReproError("executor is closed")
-        count = len(enc_q)
-        out = np.empty(count, dtype=np.int64)
-        if count == 0:
-            return out
-        stats = stats if stats is not None else ExecStats()
-        with self._stats_lock:
-            stats.pairs += count
-            stats.cells += sum(q.size * s.size for q, s in zip(enc_q, enc_s))
-
-        lanes = self.lanes if plan.lane_batching else 1
-        graph = request_graph(enc_q, enc_s)
-        # Requests have no dependencies, so per-shape remainders pop as
-        # partial vector blocks instead of scalar singles.
-        sched = DynamicWavefrontScheduler(graph, lanes=lanes, partial_blocks=True)
-        lock = self._stats_lock
-        workers = min(self.max_workers, count)
-        if workers <= 1:
-            self._drain(sched, sched.try_pop, plan, enc_q, enc_s, out, stats, lock)
-            return out
-
-        # The request pool is dependency-free: completing a block never
-        # readies new work, so non-blocking pops drain it fully and a
-        # failing peer cannot stall anyone.
-        futures = [
-            self.submit(
-                self._drain, sched, sched.try_pop, plan, enc_q, enc_s, out, stats, lock
-            )
-            for _ in range(workers)
-        ]
-        wait(futures)
-        for f in futures:
-            f.result()  # re-raise the first worker failure, if any
-        return out
-
-    def run_aligns(self, plan, enc_q: list, enc_s: list, stats: ExecStats | None = None) -> list:
+    # -- alignment runs ----------------------------------------------------
+    def run_aligns(self, plan, enc_q: list, enc_s: list) -> list:
         """Full alignments; pair-parallel across threads (no lanes)."""
         if self._closed:
             raise ReproError("executor is closed")
         count = len(enc_q)
-        if count == 0:
-            return []
-        stats = stats if stats is not None else ExecStats()
-        with self._stats_lock:
-            stats.pairs += count
-            stats.cells += sum(q.size * s.size for q, s in zip(enc_q, enc_s))
-        out: list = [None] * count
         workers = min(self.max_workers, count)
         if workers <= 1:
-            for k in range(count):
-                out[k] = plan.align_one(enc_q[k], enc_s[k])
-                with self._stats_lock:
-                    stats.scalar_pops += 1
-            return out
+            return [plan.align_one(q, s) for q, s in zip(enc_q, enc_s)]
 
+        out: list = [None] * count
         cursor = {"next": 0}
-        lock = self._stats_lock
+        lock = threading.Lock()
 
         def worker():
             while True:
@@ -227,7 +131,6 @@ class BatchExecutor:
                     if k >= count:
                         return
                     cursor["next"] = k + 1
-                    stats.scalar_pops += 1
                 out[k] = plan.align_one(enc_q[k], enc_s[k])
 
         futures = [self.submit(worker) for _ in range(workers)]

@@ -151,10 +151,9 @@ class PlanCache:
         return plan
 
     def _build(self, scheme: AlignmentScheme, backend: str, dtype) -> ExecutionPlan:
-        from repro.core.backend import capability_matrix, normalize_name
+        from repro.core.backend import capability_matrix
         from repro.core.kernels import build_rowscan_kernel
 
-        backend = normalize_name(backend)
         caps = capability_matrix()[backend]
         if backend == "rowscan":
             # Stage the row-sweep kernel now, through the kernel cache —

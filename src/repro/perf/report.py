@@ -71,15 +71,16 @@ def cache_stats_table(plan_cache=None, engine=None) -> str:
     )
     if engine is not None:
         st = engine.stats
+        ps = st.pipeline
         work = format_table(
             ("batches", "pairs", "cells", "lane blocks", "scalar pops", "backends"),
             [
                 (
-                    st.batches,
-                    st.exec.pairs,
-                    st.exec.cells,
-                    st.exec.lane_blocks,
-                    st.exec.scalar_pops,
+                    ps.batches,
+                    ps.pairs,
+                    ps.cells_computed,
+                    ps.lane_blocks,
+                    ps.scalar_pops,
                     ", ".join(f"{k}x{v}" for k, v in sorted(st.backends_used.items())) or "-",
                 )
             ],

@@ -32,19 +32,11 @@ class DynamicWavefrontScheduler:
     diagonals, which bounds the live border-stripe memory.
     """
 
-    def __init__(self, graph: TileGraph, lanes: int = 1, partial_blocks: bool = False):
+    def __init__(self, graph: TileGraph, lanes: int = 1):
         if lanes < 1:
             raise SchedulingError("lanes must be >= 1")
         self.graph = graph
         self.lanes = lanes
-        # With ``partial_blocks`` a shape group smaller than ``lanes`` still
-        # pops as one (shorter) vector block instead of degrading to scalar
-        # singles.  Off by default: inside one wavefront, waiting for a full
-        # block is the paper's behaviour (more same-shape tiles become ready
-        # as the front advances); the batch engine's request pool has no
-        # dependencies, so nothing new ever becomes ready and partial blocks
-        # are strictly better there.
-        self.partial_blocks = bool(partial_blocks)
         self._lock = threading.Lock()
         self._ready_by_shape: dict[tuple, deque] = defaultdict(deque)
         self._ready_count = 0
@@ -81,13 +73,8 @@ class DynamicWavefrontScheduler:
         else:
             # Largest group first improves the odds later pops fill blocks.
             shape = max(self._ready_by_shape, key=lambda k: len(self._ready_by_shape[k]))
-            dq = self._ready_by_shape[shape]
-            take = min(self.lanes, len(dq)) if self.partial_blocks else 1
-            block = [dq.popleft() for _ in range(take)]
-            if take > 1:
-                self.block_pops += 1
-            else:
-                self.pops += 1
+            block = [self._ready_by_shape[shape].popleft()]
+            self.pops += 1
         for t in block:
             if not self._ready_by_shape[t.shape]:
                 del self._ready_by_shape[t.shape]

@@ -176,7 +176,7 @@ class BandedVerifyStage:
 
     An explicit ``band`` is used as-is (auto-widened to feasibility for
     global schemes).  Whole batches are swept by the lane-batched
-    (scheme, band)-specialized kernel when the routed plan supports lane
+    (scheme, band)-specialized kernel when the plan supports lane
     batching; stragglers and lane-less plans take the per-pair scalar
     sweep — :meth:`path_stats` accounts pairs/cells per path.  Batches
     must be band-uniform for the lane path to be exact, which the search
@@ -197,9 +197,6 @@ class BandedVerifyStage:
         anchor: bool = True,
         lane_verify: bool = True,
         band_quantum: int | None = None,
-        router=None,
-        plans: dict | None = None,
-        target_lanes: int = 64,
     ):
         self.plan = plan
         self.band = band
@@ -207,9 +204,6 @@ class BandedVerifyStage:
         self.anchor = anchor
         self.lane_verify = lane_verify
         self.band_quantum = band_quantum if band_quantum is not None else self.BAND_QUANTUM
-        self.router = router  # optional: object with backend_for(size, target)
-        self.plans = dict(plans) if plans else {}
-        self.target_lanes = target_lanes
         self._lock = threading.Lock()
         self._path_pairs = {"lanes": 0, "fallback": 0}
         self._path_cells = {"lanes": 0, "fallback": 0}
@@ -243,14 +237,6 @@ class BandedVerifyStage:
     def _batch_band(self, batch: Batch) -> int:
         return max(self.band_of(r) for r in batch.requests)
 
-    def _plan_for(self, size: int):
-        if self.router is None:
-            return self.plan
-        name = self.router.backend_for(size, self.target_lanes)
-        if name is None:
-            return self.plan
-        return self.plans.get(name, self.plan)
-
     def _effective(self, shape: tuple[int, int], band: int) -> int:
         n, m = shape
         if self.plan.scheme.alignment_type is AlignmentType.SEMIGLOBAL:
@@ -259,7 +245,7 @@ class BandedVerifyStage:
 
     def execute(self, batch: Batch) -> np.ndarray:
         band = self._batch_band(batch)
-        plan = self._plan_for(len(batch))
+        plan = self.plan
         lanes = self.lane_verify and len(batch) > 1 and plan.lane_batching
         if lanes:
             qs, ss = batch.stacked()
@@ -445,7 +431,6 @@ def search(
     engine: ExecutionEngine | None = None,
     max_in_flight: int = 2048,
     lane_verify: bool = True,
-    route=None,
     hit_window: bool = False,
 ) -> SearchRun:
     """Stream top-K placements of each query against a reference database.
@@ -487,13 +472,6 @@ def search(
         Sweep whole same-(shape, band) buckets with the lane-batched
         banded kernel (default); ``False`` forces the per-pair scalar
         sweep everywhere (the benchmark baseline).
-    route:
-        Optional per-bucket backend routing policy — an object with
-        ``backend_for(batch_size, target_batch)`` plus
-        ``full_lane_backend``/``straggler_backend`` names (e.g. a
-        :class:`repro.serve.service.ServiceConfig` with
-        ``route_backends=True``); full verify buckets then run on the
-        lane backend and stragglers on the fallback, bit-identically.
     hit_window:
         Keep each retained hit's window bases in ``Hit.meta["window"]``
         (see :class:`~repro.search.topk.TopKReducer`); the read-mapping
@@ -516,19 +494,8 @@ def search(
         raise ValidationError("engine scheme does not match the search scheme")
     plan = engine.plan_for("rowscan")
     if verify == "banded":
-        plans = None
-        if route is not None:
-            names = {route.full_lane_backend, route.straggler_backend}
-            plans = {name: engine.plan_for(name) for name in names}
         stage = BandedVerifyStage(
-            plan,
-            band,
-            band_pad=band_pad,
-            anchor=anchor,
-            lane_verify=lane_verify,
-            router=route,
-            plans=plans,
-            target_lanes=engine.executor.lanes,
+            plan, band, band_pad=band_pad, anchor=anchor, lane_verify=lane_verify
         )
         # Key buckets on (shape, effective band): same-band lanes stay
         # uniform for the band-specialized kernel.

@@ -44,7 +44,6 @@ Semantics worth knowing:
 from __future__ import annotations
 
 import asyncio
-import math
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
@@ -72,24 +71,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Serving-hardening knobs (picklable by construction, like all configs).
+    """SLO and load-shedding knobs (picklable by construction, like all configs).
 
-    ``route_backends`` turns on per-bucket backend routing in the dispatch
-    path: a micro-batch that filled its lanes executes on
-    ``full_lane_backend`` (the inter-sequence SIMD regime the paper's
-    throughput comes from), while straggler buckets — linger-expired or
-    drain-flushed partials too small to fill lanes — stay on
-    ``straggler_backend``, whose per-pair row sweep has no lane setup to
-    amortize.  "Full" means ≥ ``full_lane_fraction`` of the service's
-    target batch.  Scores are identical either way (every backend is
-    parity-tested against the same reference DP); only the cost model
-    changes.
-
-    The same policy is forwarded to ``submit_search`` pipelines: banded
-    verify buckets that fill their lanes run the lane-batched banded
-    kernel on ``full_lane_backend`` while straggler buckets take the
-    per-pair sweep on ``straggler_backend`` (see
-    :class:`repro.search.BandedVerifyStage`), again bit-identically.
+    Backend choice is not a service knob: each score bucket runs on the
+    engine's backend, and ``backend="auto"`` (the default) already picks
+    one per bucket from its size and shape.
 
     ``slos`` declares the service's objectives (a tuple of
     :class:`~repro.obs.slo.SLObjective`); a non-empty tuple gives the
@@ -101,10 +87,6 @@ class ServiceConfig:
     to its normal resolution, so results never depend on the SLO state.
     """
 
-    route_backends: bool = False
-    full_lane_backend: str = "simd"
-    straggler_backend: str = "rowscan"
-    full_lane_fraction: float = 0.5
     slos: tuple = ()
     shed_priorities: tuple = ("BULK",)
 
@@ -113,10 +95,6 @@ class ServiceConfig:
         from repro.util.checks import ValidationError, check_no_callables
 
         check_no_callables(self)
-        if not 0.0 < self.full_lane_fraction <= 1.0:
-            raise ValidationError(
-                f"full_lane_fraction must be in (0, 1], got {self.full_lane_fraction}"
-            )
         for obj in self.slos:
             if not isinstance(obj, SLObjective):
                 raise ValidationError(
@@ -129,15 +107,6 @@ class ServiceConfig:
                     f"shed_priorities entries must be Priority names "
                     f"{sorted(names)}, got {shed!r}"
                 )
-
-    def backend_for(self, batch_size: int, target_batch: int) -> str | None:
-        """Backend override for a score bucket (None = engine default)."""
-        if not self.route_backends:
-            return None
-        threshold = max(2, math.ceil(target_batch * self.full_lane_fraction))
-        if batch_size >= threshold:
-            return self.full_lane_backend
-        return self.straggler_backend
 
 
 class ServiceError(ReproError):
@@ -200,9 +169,8 @@ class AlignmentService:
     search_kwargs / map_kwargs:
         Default keyword arguments for ``submit_search`` / ``submit_map``.
     config:
-        :class:`ServiceConfig` hardening knobs — per-bucket backend
-        routing (``simd`` full lanes / ``rowscan`` stragglers) is off by
-        default; ``config.slos`` declares the SLO contract.
+        :class:`ServiceConfig`: ``config.slos`` declares the SLO contract
+        and ``config.shed_priorities`` the classes shed while it burns.
     slo:
         An explicit :class:`~repro.obs.slo.SLOTracker` to feed (e.g. one
         an introspection server also reads).  Defaults to a private
@@ -597,10 +565,7 @@ class AlignmentService:
                         for i, r in enumerate(executable)
                     ],
                 )
-                backend = self.config.backend_for(
-                    len(executable), self.batcher.target_batch
-                )
-                results = self.engine.submit_prebatched(batch, backend=backend)
+                results = self.engine.submit_prebatched(batch)
             else:  # align
                 results = self.engine.align_batch(
                     [r.query for r in executable], [r.subject for r in executable]
@@ -672,10 +637,6 @@ class AlignmentService:
         if pool is not None:
             return lambda: pool.search_topk([req.query], **kwargs)[0]
         scheme = kwargs.setdefault("scheme", default_search_scheme())
-        if self.config.route_backends:
-            # Route banded verify buckets like score buckets: full lanes on
-            # the lane backend, stragglers on the per-pair sweep.
-            kwargs.setdefault("route", self.config)
         engine = self._engine_for_search(scheme)
         return lambda: search_one(req.query, self._database, engine=engine, **kwargs)
 

@@ -47,8 +47,11 @@ class TestAlignerBackends:
     def test_repr(self):
         assert "global" in repr(Aligner())
 
-    def test_core_backend_registered(self):
-        assert BACKEND_FACTORIES["core"] is Aligner
+    def test_core_is_not_a_backend_name(self):
+        # The frontend is not registered under an alias of its own.
+        assert Aligner not in BACKEND_FACTORIES.values()
+        with pytest.raises(ValidationError, match="rowscan"):
+            Aligner(backend="core")
 
     @settings(max_examples=20, deadline=None)
     @given(q=dna, s=dna)

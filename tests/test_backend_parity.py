@@ -2,9 +2,10 @@
 
 The unified frontend's contract is that *any* name in the registry (plus
 the inline strategies) gives identical scores on the full scheme grid —
-alignment type × gap model — and that the ``core`` family also agrees
-across score dtypes.  Backends whose declared capabilities exclude a
-scheme (e.g. SSW is local-only) must refuse it loudly, not mis-compute.
+alignment type × gap model — as does the ``core`` frontend built with no
+backend name, and that the staged kernel also agrees across score dtypes.
+Backends whose declared capabilities exclude a scheme (e.g. SSW is
+local-only) must refuse it loudly, not mis-compute.
 """
 
 import numpy as np
@@ -43,7 +44,17 @@ SCHEMES = {
     )
 }
 
-BACKENDS = sorted(available_backends() - {"auto"})
+#: Every registered name, plus ``core``: the :class:`Aligner` frontend
+#: built without a backend name (its ``rowscan`` default).
+BACKENDS = sorted((available_backends() - {"auto"}) | {"core"})
+
+
+def _aligner(scheme, backend):
+    return Aligner(scheme) if backend == "core" else Aligner(scheme, backend=backend)
+
+
+def _caps(backend):
+    return capability_matrix()["rowscan" if backend == "core" else backend]
 
 
 def _pairs(seed=7, count=3):
@@ -68,7 +79,6 @@ class TestRegistry:
             "rowscan",
             "scalar",
             "reference",
-            "core",
             "tiled",
             "simd",
             "gpu",
@@ -113,34 +123,34 @@ class TestRegistry:
 class TestParityGrid:
     def test_scores_match_reference(self, backend, scheme_key):
         scheme = SCHEMES[scheme_key]
-        caps = capability_matrix()[backend]
+        caps = _caps(backend)
         if not caps.supports_scheme(scheme):
             with pytest.raises(ValidationError):
-                Aligner(scheme, backend=backend).score("ACGT", "ACGT")
+                _aligner(scheme, backend).score("ACGT", "ACGT")
             return
-        a = Aligner(scheme, backend=backend)
+        a = _aligner(scheme, backend)
         for q, s in _pairs():
             expected = score_reference(encode(q), encode(s), scheme)
             assert a.score(q, s) == expected, (backend, scheme_key, q, s)
 
     def test_batch_matches_reference(self, backend, scheme_key):
         scheme = SCHEMES[scheme_key]
-        caps = capability_matrix()[backend]
+        caps = _caps(backend)
         if not caps.supports_scheme(scheme):
             pytest.skip(f"{backend} does not support {scheme_key}")
         pairs = _pairs(seed=11, count=5)
         qs, ss = [p[0] for p in pairs], [p[1] for p in pairs]
-        out = Aligner(scheme, backend=backend).score_batch(qs, ss)
+        out = _aligner(scheme, backend).score_batch(qs, ss)
         expected = [score_reference(encode(q), encode(s), scheme) for q, s in pairs]
         assert list(out) == expected
 
     def test_align_matches_reference_score(self, backend, scheme_key):
         scheme = SCHEMES[scheme_key]
-        caps = capability_matrix()[backend]
+        caps = _caps(backend)
         if not caps.supports_scheme(scheme):
             pytest.skip(f"{backend} does not support {scheme_key}")
         q, s = _pairs(seed=23, count=1)[0]
-        res = Aligner(scheme, backend=backend).align(q, s)
+        res = _aligner(scheme, backend).align(q, s)
         assert res.score == score_reference(encode(q), encode(s), scheme)
 
 

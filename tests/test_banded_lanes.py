@@ -210,7 +210,7 @@ class TestSimulatedBackendBanded:
         s = rng.integers(0, 4, 50).astype(np.uint8)
         assert a.banded_score(q, s, 12) == banded_score(q, s, SEMI_AFF, 12)
 
-    @pytest.mark.parametrize("backend", ["gpu", "fpga"])
+    @pytest.mark.parametrize("backend", ["gpu", "fpga", "simd"])
     def test_plan_score_banded_block(self, backend):
         eng = ExecutionEngine(SEMI_LIN, plan_cache=PlanCache(), backend=backend)
         plan = eng.plan_for(backend)
@@ -249,15 +249,3 @@ class TestSearchRouting:
         assert (
             lane.stats.cells_computed + scalar.stats.cells_computed
         ) <= 2 * legacy.stats.cells_computed
-
-    def test_route_splits_buckets_across_backends(self):
-        from repro.serve import ServiceConfig
-
-        ref, queries = self._workload()
-        config = ServiceConfig(route_backends=True)
-        plain = search(queries, ref, k=3, min_score=160)
-        routed = search(queries, ref, k=3, min_score=160, route=config)
-        assert self._flat(routed) == self._flat(plain)
-        stage = routed.pipeline.stage
-        assert set(stage.plans) == {"simd", "rowscan"}
-        assert stage.path_stats()["lanes"]["pairs"] > 0

@@ -23,7 +23,6 @@ from repro.engine import (
     StreamPipeline,
     encode_pairs,
     group_by_shape,
-    request_graph,
 )
 from repro.util.checks import ReproError, ValidationError
 from repro.util.encoding import encode
@@ -64,24 +63,6 @@ class TestShapeBucketing:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValidationError):
             encode_pairs(["AC"], ["AC", "GT"])
-
-    def test_request_graph_is_dependency_free(self):
-        enc_q, enc_s = encode_pairs(*_mixed_pairs(12))
-        graph = request_graph(enc_q, enc_s)
-        assert len(graph) == 12
-        ready = graph.initial_ready()
-        assert len(ready) == 12  # every request immediately poppable
-        assert sorted(t.alignment_id for t in ready) == list(range(12))
-
-    def test_scheduler_pops_lane_blocks_of_pairs(self):
-        """Same-shape requests come off the queue as vector blocks."""
-        from repro.sched.dynamic import DynamicWavefrontScheduler
-
-        enc_q, enc_s = encode_pairs(["ACGT"] * 8 + ["ACGTA"], ["ACG"] * 8 + ["ACGT"])
-        sched = DynamicWavefrontScheduler(request_graph(enc_q, enc_s), lanes=4)
-        block = sched.try_pop()
-        assert len(block) == 4
-        assert {t.shape for t in block} == {(4, 3)}
 
 
 class TestAutoSelection:
@@ -205,10 +186,42 @@ class TestPlanCache:
         qs, ss = _mixed_pairs(16)
         eng.submit_batch(qs, ss)
         eng.submit_batch(qs, ss)
-        assert eng.stats.batches == 2
-        assert eng.stats.exec.pairs == 32
-        assert eng.stats.exec.cells > 0
-        assert eng.stats.exec.lane_blocks + eng.stats.exec.scalar_pops > 0
+        assert sum(eng.stats.backends_used.values()) == 2
+        ps = eng.stats.pipeline
+        assert ps.pairs == 32
+        assert ps.cells_computed > 0
+        assert ps.batches == ps.lane_blocks + ps.scalar_pops > 0
+
+    def test_work_table_counts_lane_blocks_not_calls(self):
+        """One call of 200 same-shape pairs at 64 lanes is 4 batches."""
+        from repro.perf import cache_stats_table
+
+        cache = PlanCache()
+        with ExecutionEngine(backend="rowscan", lanes=64, plan_cache=cache) as eng:
+            eng.submit_batch(["ACGTACGTAC"] * 200, ["ACGTTCGTA"] * 200)
+            ps = eng.stats.pipeline
+            assert ps.batches == ps.lane_blocks + ps.scalar_pops == 4
+            text = cache_stats_table(cache, engine=eng)
+        lines = text[text.index("Engine work") :].splitlines()
+        header, row = lines[2].split(), lines[4].split()
+        assert header[:2] == ["batches", "pairs"]
+        assert row[:2] == ["4", "200"]
+
+    def test_one_ledger_for_scores_and_aligns(self):
+        """Alignments land in the same ledger as scores: one scalar pop each."""
+        qs, ss = _mixed_pairs(100, seed=13)
+        with ExecutionEngine(backend="rowscan", plan_cache=PlanCache()) as eng:
+            eng.submit_batch(qs, ss)
+            ps = eng.stats.pipeline
+            pops, cells = ps.scalar_pops, ps.cells_computed
+            eng.align_batch(qs[:5], ss[:5])
+            assert ps.pairs == 105
+            assert ps.scalar_pops == pops + 5
+            assert ps.cells_computed == cells + sum(
+                len(q) * len(s) for q, s in zip(qs[:5], ss[:5])
+            )
+            assert ps.batches == ps.lane_blocks + ps.scalar_pops
+            assert ps.stages["execute"].items == 105
 
 
 class TestLifecycle:
@@ -249,8 +262,6 @@ class TestLifecycle:
         ex = BatchExecutor(max_workers=2)
         ex.close()
         enc_q, enc_s = encode_pairs(["ACGT"], ["ACG"])
-        with pytest.raises(ReproError, match="closed"):
-            ex.run_scores(plan, enc_q, enc_s)
         with pytest.raises(ReproError, match="closed"):
             ex.run_aligns(plan, enc_q, enc_s)
 
@@ -486,16 +497,18 @@ class TestSubmitPrebatched:
 
         with ExecutionEngine(backend="rowscan", plan_cache=PlanCache()) as eng:
             out = eng.submit_prebatched(Batch(shape=(0, 0), requests=[]))
-            assert out.size == 0 and eng.stats.batches == 0
+            assert out.size == 0
+            assert eng.stats.pipeline.batches == 0 and not eng.stats.backends_used
 
     def test_stats_accounted(self):
         batch = self._batch(8, qlen=16, slen=20)
         with ExecutionEngine(backend="rowscan", plan_cache=PlanCache()) as eng:
             eng.submit_prebatched(batch)
             st = eng.stats
-            assert st.batches == 1
-            assert st.exec.pairs == 8
-            assert st.exec.cells == 8 * 16 * 20
+            assert sum(st.backends_used.values()) == 1
+            assert st.pipeline.batches == 1
+            assert st.pipeline.pairs == 8
+            assert st.pipeline.cells_computed == 8 * 16 * 20
             assert st.pipeline.lane_blocks == 1
             assert st.pipeline.stages["execute"].calls == 1
 
@@ -546,8 +559,8 @@ class TestEngineStatsThreadSafety:
         qs, ss = _mixed_pairs(pairs_per_call, seed=29, lengths=(16, 24))
         with ExecutionEngine(backend="rowscan", plan_cache=PlanCache()) as eng:
             eng.submit_batch(qs[:2], ss[:2])  # warm the plan
-            base_batches = eng.stats.batches
-            base_pairs = eng.stats.exec.pairs
+            base_calls = sum(eng.stats.backends_used.values())
+            base_pairs = eng.stats.pipeline.pairs
             errors = []
 
             def hammer():
@@ -565,14 +578,13 @@ class TestEngineStatsThreadSafety:
             assert not errors
             # Every counter must land exactly: a lost update under racing
             # locks would show up as a short count.
-            assert eng.stats.batches - base_batches == threads * calls
-            assert (
-                eng.stats.exec.pairs - base_pairs
-                == threads * calls * pairs_per_call
-            )
-            assert eng.stats.pipeline.pairs == eng.stats.exec.pairs
+            ps = eng.stats.pipeline
+            assert sum(eng.stats.backends_used.values()) - base_calls == threads * calls
+            assert ps.pairs - base_pairs == threads * calls * pairs_per_call
+            assert ps.batches == ps.lane_blocks + ps.scalar_pops
 
     def test_concurrent_mixed_batch_and_align(self):
+        import sys
         import threading
 
         qs, ss = _mixed_pairs(10, seed=31, lengths=(16, 20))
@@ -596,12 +608,20 @@ class TestEngineStatsThreadSafety:
             ts = [threading.Thread(target=score_hammer) for _ in range(3)] + [
                 threading.Thread(target=align_hammer) for _ in range(3)
             ]
-            for t in ts:
-                t.start()
-            for t in ts:
-                t.join()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the two folds densely
+            try:
+                for t in ts:
+                    t.start()
+                for t in ts:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in ts)
             assert not errors
-            # submit_batch pairs flow through the pipeline, align pairs
-            # through the private ExecStats fold — both must be exact.
-            assert eng.stats.exec.pairs == 3 * 6 * 10 + 3 * 6 * 4
-            assert eng.stats.batches == 6 * 6
+            # Score and align pairs fold into the one pipeline ledger under
+            # the engine lock — both must land exactly.
+            ps = eng.stats.pipeline
+            assert ps.pairs == 3 * 6 * 10 + 3 * 6 * 4
+            assert ps.batches == ps.lane_blocks + ps.scalar_pops
+            assert sum(eng.stats.backends_used.values()) == 6 * 6

@@ -130,7 +130,8 @@ class TestAlignmentService:
                     with pytest.raises(DeadlineExceededError):
                         await svc.submit("ACGTACGT", "ACGTACGT", timeout=0.0)
                     # Never reached execution: the engine saw no work at all.
-                    assert eng.stats.batches == 0 and eng.stats.exec.pairs == 0
+                    assert eng.stats.pipeline.pairs == 0
+                    assert not eng.stats.backends_used
                     assert svc.stats.rejected == {"deadline": 1}
                     assert svc.stats.completed == 0
 
@@ -271,7 +272,7 @@ class TestAlignmentService:
                     await late.future
                 assert svc.stats.rejected == {"deadline": 1}
                 assert svc.stats.occupancy == {1: 1}  # expired req filled no lane
-                assert svc.engine.stats.exec.pairs == 1
+                assert svc.engine.stats.pipeline.pairs == 1
 
         asyncio.run(main())
 
@@ -431,86 +432,3 @@ class TestSyncClient:
         with pytest.raises(ServiceClosedError):
             SyncAlignmentClient(service=svc)
         assert threading.active_count() == before  # loop thread joined
-
-
-class TestBackendRouting:
-    """Satellite: per-bucket backend routing behind the ServiceConfig flag."""
-
-    def test_backend_for_policy(self):
-        from repro.serve import ServiceConfig
-
-        off = ServiceConfig()
-        assert off.backend_for(64, 64) is None
-        cfg = ServiceConfig(route_backends=True, full_lane_fraction=0.5)
-        assert cfg.backend_for(64, 64) == "simd"
-        assert cfg.backend_for(32, 64) == "simd"  # at the threshold
-        assert cfg.backend_for(31, 64) == "rowscan"
-        assert cfg.backend_for(1, 64) == "rowscan"
-
-    def test_config_validates(self):
-        from repro.serve import ServiceConfig
-
-        with pytest.raises(ValidationError):
-            ServiceConfig(full_lane_fraction=0.0)
-        with pytest.raises(ValidationError):
-            ServiceConfig(full_lane_fraction=1.5)
-
-    def test_routed_scores_bit_identical(self):
-        """Routing changes the cost model, never the scores."""
-        from repro.engine import PlanCache
-        from repro.serve import ServiceConfig
-
-        pairs = _pairs(70, seed=19, lengths=(48,))  # one shape: full + straggler
-
-        def run(config):
-            async def main():
-                with ExecutionEngine(backend="rowscan", plan_cache=PlanCache()) as eng:
-                    async with AlignmentService(
-                        eng, target_batch=32, max_linger=0.002, config=config
-                    ) as svc:
-                        scores = await asyncio.gather(
-                            *(svc.submit(q, s) for q, s in pairs)
-                        )
-                        return list(scores), dict(eng.stats.backends_used)
-
-            return asyncio.run(main())
-
-        plain, plain_backends = run(None)
-        routed, routed_backends = run(ServiceConfig(route_backends=True))
-        assert routed == plain
-        assert set(plain_backends) == {"rowscan"}
-        # Full lanes went to simd; any straggler flush stayed on rowscan.
-        assert routed_backends.get("simd", 0) >= 1
-
-    def test_routed_search_hits_bit_identical(self):
-        """Verify-bucket routing changes the cost model, never the hits."""
-        from repro.serve import ServiceConfig
-
-        rng = make_rng(23)
-        ref = random_genome(20_000, seed=rng)
-        model = MutationModel(substitution=0.03, insertion=0.0, deletion=0.0)
-        positions = [1500, 6200, 11800, 17400]
-        queries = [mutate(ref[p : p + 100], model, seed=rng) for p in positions]
-
-        def run(config):
-            async def main():
-                async with AlignmentService(
-                    backend="rowscan",
-                    database=ref,
-                    search_kwargs={"k": 3, "min_score": 160},
-                    config=config,
-                ) as svc:
-                    return await asyncio.gather(
-                        *(svc.submit_search(q) for q in queries)
-                    )
-
-            return asyncio.run(main())
-
-        plain = run(None)
-        routed = run(ServiceConfig(route_backends=True))
-        flat = lambda res: [
-            [(h.record, h.start, h.score) for h in hits] for hits in res
-        ]
-        assert flat(routed) == flat(plain)
-        for qid, p in enumerate(positions):
-            assert routed[qid] and routed[qid][0].start <= p < routed[qid][0].end

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.engine import EngineConfig, ExecutionEngine
+from repro.obs.slo import SLObjective
 from repro.perf import shard_stats_table
 from repro.search import SearchConfig, TopKReducer, merge_topk, search_topk
 from repro.search.topk import Hit
@@ -79,7 +80,10 @@ class TestConfigsPicklable:
         for obj in (
             SearchConfig(k=3, kmer=9, min_score=5),
             EngineConfig(backend="simd", dtype="int16", lanes=32),
-            ServiceConfig(route_backends=True, full_lane_fraction=0.25),
+            ServiceConfig(
+                slos=(SLObjective("score-p99", latency_s=0.05, priority="NORMAL"),),
+                shed_priorities=("BULK", "NORMAL"),
+            ),
             ShardPlan(num_shards=3, search=SearchConfig(k=2)),
         ):
             clone = pickle.loads(pickle.dumps(obj))
@@ -90,8 +94,8 @@ class TestConfigsPicklable:
             SearchConfig(min_score=lambda: 5)
         with pytest.raises(ValidationError, match="picklable"):
             EngineConfig(max_workers=lambda: 2)
-        with pytest.raises(ValidationError):
-            ServiceConfig(full_lane_backend=lambda b: "simd")
+        with pytest.raises(ValidationError, match="picklable"):
+            ServiceConfig(slos=lambda: ())
 
     def test_search_config_validates(self):
         with pytest.raises(ValidationError, match="verify"):
