@@ -119,7 +119,7 @@ def pipeline_stats_table(stats, title: str = "Streaming pipeline", verify=None) 
     summary = format_table(
         ("metric", "value"),
         [
-            ("reference items scanned", stats.items_in),
+            ("source items (windows, lookups)", stats.items_in),
             ("candidate pairs", stats.candidates),
             ("admitted / rejected", f"{stats.admitted} / {stats.rejected}"),
             ("prefilter rejection rate", f"{100 * stats.rejection_rate:.1f}%"),

@@ -18,7 +18,7 @@ from repro.search.pipeline import (
     search_one,
     search_topk,
 )
-from repro.search.seeds import QueryIndex, SeedPrefilter, kmer_codes
+from repro.search.seeds import QueryIndex, ReferenceIndex, SeedPrefilter, kmer_codes
 from repro.search.topk import Hit, TopKReducer, merge_topk
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "search_one",
     "search_topk",
     "QueryIndex",
+    "ReferenceIndex",
     "SeedPrefilter",
     "kmer_codes",
     "Hit",

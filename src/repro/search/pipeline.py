@@ -8,7 +8,7 @@ from the engine's stage pipeline (:mod:`repro.engine.stages`):
 
 ::
 
-    chunk_records / chunk_sequence          (Source: reference windows)
+    ReferenceIndex lookup / Chunk stream    (Source: candidate windows)
         → SeedPrefilter(QueryIndex)         (Prefilter: shared k-mers)
         → ShapeBatcher                      (Batcher: same-shape lanes)
         → BandedVerifyStage                 (Executor: core.banded sweep)
@@ -40,11 +40,11 @@ from repro.engine.batching import ShapeBatcher
 from repro.engine.engine import ExecutionEngine
 from repro.engine.executor import PlanExecutorStage
 from repro.engine.stages import Batch, PipelineStats
-from repro.search.seeds import QueryIndex, SeedPrefilter
+from repro.search.seeds import QueryIndex, ReferenceIndex, SeedPrefilter, classify_database
 from repro.search.topk import Hit, TopKReducer
 from repro.util.checks import ValidationError, check_no_callables, check_positive
 from repro.util.encoding import encode
-from repro.workloads.chunks import Chunk, chunk_records, chunk_sequence
+from repro.workloads.chunks import chunk_encoded_records, chunk_records, chunk_sequence
 
 __all__ = [
     "BandedVerifyStage",
@@ -371,46 +371,25 @@ class SearchRun:
         )
 
 
-def classify_database(database, *, materialize: bool = False):
-    """Tag a database argument: the one place its accepted shapes live.
-
-    Returns ``(kind, value)`` where ``kind`` is ``"chunks"`` (pre-windowed
-    — an iterator or list of :class:`~repro.workloads.chunks.Chunk`),
-    ``"records"`` (a list of objects with ``name``/``sequence``), or
-    ``"sequence"`` (a raw encoded array / string).  Every consumer of a
-    ``database`` argument — :func:`search` and the shard payload
-    builders — classifies through here, so they cannot drift on what
-    "anything search accepts" means.
-
-    By contract an *iterator* database yields chunks; with
-    ``materialize=False`` (the streaming default) it is passed through
-    lazily, while ``materialize=True`` lists it out for consumers that
-    must partition or replay it.
-    """
-    if hasattr(database, "__next__"):
-        if not materialize:
-            return "chunks", database  # lazy pre-windowed stream
-        database = list(database)
-    if isinstance(database, Chunk):
-        return "chunks", [database]
-    if isinstance(database, (list, tuple)) and database:
-        if isinstance(database[0], Chunk):  # pre-windowed chunk list
-            return "chunks", database
-        if hasattr(database[0], "sequence"):  # FastaRecord list
-            return "records", database
-    if hasattr(database, "sequence"):  # single FastaRecord
-        return "records", [database]
-    return "sequence", database
-
-
 def _chunk_source(database, window: int, overlap: int):
-    """Normalize a database argument into a Chunk iterator."""
+    """Normalize a database argument into a Chunk iterator (every window)."""
     kind, value = classify_database(database)
     if kind == "chunks":
         return iter(value) if not hasattr(value, "__next__") else value
+    if kind == "index":
+        return chunk_encoded_records(value.records, window, overlap)
     if kind == "records":
         return chunk_records(value, window, overlap)
     return chunk_sequence(value, window, overlap)
+
+
+def _seed_source(database, prefilter: SeedPrefilter, window: int, overlap: int):
+    """The search source: an index lookup, or scanned pre-windowed chunks."""
+    kind, value = classify_database(database)
+    if kind == "chunks":
+        return _chunk_source(value, window, overlap)
+    reference = value if kind == "index" else ReferenceIndex(database)
+    return prefilter.lookup(reference, window, overlap)
 
 
 def search(
@@ -440,8 +419,16 @@ def search(
     queries:
         Sequences (str or encoded arrays); all must be ≥ ``kmer`` long.
     database:
-        Encoded array / str sequence, FastaRecord(s), or an iterator of
+        A :class:`~repro.search.seeds.ReferenceIndex`, an encoded array /
+        str sequence, FastaRecord(s), or an iterator or list of
         :class:`~repro.workloads.chunks.Chunk` objects (already windowed).
+        Records and sequences are seeded through a reference k-mer index:
+        the query k-mers are looked up in it and only the windows that
+        admit a query reach the verify stage.  A ``ReferenceIndex`` is
+        reused (its k-mer table for ``kmer`` is built once, on first use);
+        raw records and sequences get a transient one per call, so callers
+        searching one reference many times should build the index once.
+        Pre-windowed chunks are scanned window by window.
     k / min_score:
         Retention: at most ``k`` hits per query, optionally only those
         scoring ≥ ``min_score``.
@@ -504,9 +491,10 @@ def search(
         stage = PlanExecutorStage(plan)  # exact full-DP verification
         batcher = ShapeBatcher(engine.executor.lanes)
     reducer = TopKReducer(len(index), k=k, min_score=min_score, keep_window=hit_window)
+    prefilter = SeedPrefilter(index, min_seeds=min_seeds)
     pipe = engine.pipeline(
-        _chunk_source(database, window, overlap),
-        prefilter=SeedPrefilter(index, min_seeds=min_seeds),
+        _seed_source(database, prefilter, window, overlap),
+        prefilter=prefilter,
         batcher=batcher,
         stage=stage,
         reducer=reducer,

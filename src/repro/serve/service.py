@@ -158,7 +158,11 @@ class AlignmentService:
     database:
         Reference database served locally (anything
         :func:`repro.search.search` accepts; iterators are materialized
-        once).
+        once).  Records and sequences become a
+        :class:`~repro.search.seeds.ReferenceIndex` here: encoded and
+        validated at construction (an invalid base raises
+        :class:`ValidationError` now, not on every request), with one
+        k-mer table per ``kmer`` built by the first request that uses it.
     pool:
         A borrowed :class:`~repro.shard.pool.ShardWorkerPool` that serves
         ``submit_search`` / ``submit_map`` from its resident workers
@@ -202,6 +206,16 @@ class AlignmentService:
         config: ServiceConfig | None = None,
         slo=None,
     ):
+        if database is not None and pool is not None:
+            raise ValidationError("pass database= or pool=, not both")
+        if database is not None:
+            from repro.search.seeds import ReferenceIndex, classify_database
+
+            if hasattr(database, "__next__"):
+                database = list(database)  # an iterator would be consumed once
+            if classify_database(database)[0] in ("records", "sequence"):
+                # Encoded and validated once; k-mer tables build on first use.
+                database = ReferenceIndex(database)
         self._owned_engine = None
         if engine is None:
             engine = self._owned_engine = ExecutionEngine(scheme, backend=backend)
@@ -225,10 +239,6 @@ class AlignmentService:
         self.slo = slo
         self._shed = frozenset(self.config.shed_priorities)
         self._log = get_logger("serve.service")
-        if database is not None and pool is not None:
-            raise ValidationError("pass database= or pool=, not both")
-        if database is not None and hasattr(database, "__next__"):
-            database = list(database)  # an iterator would be consumed once
         self._database = database
         self.pool = pool
         self._defaults = {

@@ -160,7 +160,9 @@ def build_pool_payloads(database, plan: ShardPlan):
         parts = partition_chunks(iter(value), plan.num_shards)
         payloads = [ChunkPayload(chunks=tuple(part)) for part in parts]
         return payloads, None, fingerprint_records(records)
-    if kind == "records":
+    if kind == "index":
+        records = value.records
+    elif kind == "records":
         records = tuple((rec.name, encode(rec.sequence)) for rec in value)
     else:
         records = (("ref", encode(value)),)

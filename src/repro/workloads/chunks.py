@@ -27,6 +27,7 @@ __all__ = [
     "chunk_sequence",
     "chunk_records",
     "chunk_encoded_records",
+    "check_windowing",
     "shard_of",
     "shard_chunks",
     "partition_chunks",
@@ -55,6 +56,15 @@ class Chunk:
         return self.start + int(self.sequence.size)
 
 
+def check_windowing(window: int, overlap: int) -> None:
+    """Require ``window > 0`` and ``0 ≤ overlap < window``."""
+    check_positive(window, "window")
+    if not 0 <= overlap < window:
+        raise ValidationError(
+            f"overlap must be in [0, window), got overlap={overlap} window={window}"
+        )
+
+
 def chunk_sequence(
     sequence,
     window: int,
@@ -70,11 +80,7 @@ def chunk_sequence(
     of the sequence, so every base is covered).  ``overlap`` must be
     smaller than ``window``.
     """
-    check_positive(window, "window")
-    if not 0 <= overlap < window:
-        raise ValidationError(
-            f"overlap must be in [0, window), got overlap={overlap} window={window}"
-        )
+    check_windowing(window, overlap)
     yield from _windows(encode(sequence), window, overlap, name, start_id)
 
 
@@ -152,11 +158,7 @@ def chunk_encoded_records(
     :func:`chunk_records` on the equivalent record stream, the invariant
     the sharded merge rests on.
     """
-    check_positive(window, "window")
-    if not 0 <= overlap < window:
-        raise ValidationError(
-            f"overlap must be in [0, window), got overlap={overlap} window={window}"
-        )
+    check_windowing(window, overlap)
     next_id = 0
     for name, codes in records:
         if codes is None or codes.size == 0:

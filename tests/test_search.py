@@ -8,21 +8,25 @@ from repro.core.scoring import linear_gap_scoring, local_scheme, simple_subst_sc
 from repro.engine import ExecutionEngine, PlanCache
 from repro.search import (
     QueryIndex,
+    ReferenceIndex,
     SeedPrefilter,
     TopKReducer,
     default_search_scheme,
     exhaustive_topk,
     kmer_codes,
+    resolve_windowing,
     search,
     search_topk,
 )
 from repro.util.checks import ValidationError
-from repro.util.encoding import encode
+from repro.util.encoding import decode, encode
 from repro.util.rng import make_rng
-from repro.workloads import chunk_sequence, random_genome
-from repro.workloads.chunks import Chunk
+from repro.workloads import MutationModel, chunk_sequence, mutate, random_genome
+from repro.workloads.chunks import Chunk, chunk_records
+from repro.workloads.fasta import FastaRecord
 
 
+from helpers import hit_keys
 from helpers import planted_instance as _planted_instance
 
 
@@ -36,6 +40,15 @@ class TestKmers:
         got = kmer_codes(seq, 3)
         brute = [int(seq[i]) * 16 + int(seq[i + 1]) * 4 + int(seq[i + 2]) for i in range(5)]
         assert list(got) == brute
+        seq = random_genome(70, seed=8)
+        for k in (1, 11, 16, 17, 31):
+            got = kmer_codes(seq, k)
+            brute = [
+                sum(int(seq[i + j]) << 2 * (k - 1 - j) for j in range(k))
+                for i in range(seq.size - k + 1)
+            ]
+            assert got.dtype == np.int64 and got.tolist() == brute, k
+            assert kmer_codes(seq[: k - 1], k).size == 0, k
 
     def test_kmer_codes_short_sequence(self):
         assert kmer_codes(encode("AC"), 3).size == 0
@@ -52,7 +65,7 @@ class TestKmers:
         queries = [rng.integers(0, 4, 40).astype(np.uint8) for _ in range(8)]
         index = QueryIndex(queries, k=k)
         subject = rng.integers(0, 4, 120).astype(np.uint8)
-        counts = index.seed_counts(subject)
+        counts, _, _ = index.seed_scan(subject)
         sset = set(kmer_codes(subject, k).tolist())
         for qid, q in enumerate(queries):
             expect = len(set(kmer_codes(q, k).tolist()) & sset)
@@ -301,3 +314,156 @@ class TestSearchConfiguration:
             for h in hits:
                 sub = ref[h.start : h.end]
                 assert h.score == score_reference(encode(queries[qid]), sub, scheme)
+
+
+def _indexed_reference(seed):
+    """Multi-record reference covering the lookup's edge cases: an empty
+    record, records shorter than k and than a window, a tandem repeat,
+    and records whose last window is short."""
+    rng = make_rng(seed)
+    unit = random_genome(7, seed=rng)
+    tandem = np.concatenate(
+        [random_genome(300, seed=rng), np.tile(unit, 120), random_genome(200, seed=rng)]
+    )
+    return [
+        FastaRecord("chr1", random_genome(2_000, seed=rng)),
+        FastaRecord("empty", np.empty(0, dtype=np.uint8)),
+        FastaRecord("tiny", random_genome(5, seed=rng)),
+        FastaRecord("short", random_genome(90, seed=rng)),
+        FastaRecord("tandem", tandem),
+        FastaRecord("chr2", random_genome(1_337, seed=rng)),
+    ]
+
+
+def _indexed_queries(records, seed):
+    rng = make_rng(seed)
+    model = MutationModel(substitution=0.03, insertion=0.005, deletion=0.005)
+    seqs = {r.name: r.sequence for r in records}
+    picks = [
+        seqs["chr1"][100:180],
+        seqs["chr1"][1_500:1_570],
+        seqs["tandem"][280:360],  # straddles the repeat's start
+        seqs["tandem"][500:575],  # inside the repeat
+        seqs["short"][5:85],
+        seqs["chr2"][-75:],  # the last, short window
+        seqs["chr2"][600:680],
+    ]
+    queries = [mutate(q, model, seed=rng) for q in picks]
+    return queries + [random_genome(80, seed=rng)]
+
+
+def _admissions(prefilter, items):
+    got = {}
+    for item in items:
+        for r in prefilter.expand(item):
+            c = r.meta["chunk"]
+            got[r.key] = (
+                r.meta["seeds"],
+                r.meta["diag_lo"],
+                r.meta["diag_hi"],
+                c.record,
+                c.start,
+                decode(c.sequence),
+            )
+    counters = (
+        prefilter.candidates,
+        prefilter.admitted,
+        prefilter.rejected,
+        prefilter.rejected_cells,
+    )
+    return got, counters
+
+
+class TestReferenceIndex:
+    """Seeding through the reference index ≡ scanning every window."""
+
+    @pytest.mark.parametrize("windowing", ["default", "short_tail", "no_overlap"])
+    @pytest.mark.parametrize("kmer", [8, 11, 17])
+    @pytest.mark.parametrize("min_seeds", [1, 2, 3])
+    def test_lookup_admits_exactly_what_the_scan_admits(self, min_seeds, kmer, windowing):
+        for seed in (1, 2):
+            records = _indexed_reference(seed)
+            queries = _indexed_queries(records, seed + 10)
+            qmax = max(len(q) for q in queries)
+            window, overlap = {
+                "default": resolve_windowing(qmax),
+                "short_tail": (150, 40),
+                "no_overlap": (100, 0),  # k-mers straddling a boundary seed nothing
+            }[windowing]
+            index = QueryIndex(queries, k=kmer)
+            scan = _admissions(
+                SeedPrefilter(index, min_seeds=min_seeds),
+                chunk_records(records, window, overlap),
+            )
+            pf = SeedPrefilter(index, min_seeds=min_seeds)
+            lookup = _admissions(pf, pf.lookup(ReferenceIndex(records), window, overlap))
+            assert lookup == scan
+            assert scan[0], "the instance admits nothing"
+
+    @pytest.mark.parametrize("min_seeds", [1, 2])
+    def test_search_stats_and_hits_match_scan_and_oracle(self, min_seeds):
+        records = _indexed_reference(3)
+        queries = _indexed_queries(records, 13)
+        window, overlap = resolve_windowing(max(len(q) for q in queries))
+        kwargs = dict(k=3, min_seeds=min_seeds, min_score=110, verify="full")
+        reference = ReferenceIndex(records)
+        indexed = search(queries, reference, **kwargs)
+        scanned = search(queries, chunk_records(records, window, overlap), **kwargs)
+        assert hit_keys(indexed.topk()) == hit_keys(scanned.topk())
+        a, b = indexed.stats, scanned.stats
+        for field in (
+            "candidates",
+            "admitted",
+            "rejected",
+            "cells_skipped_prefilter",
+            "pairs",
+            "cells_computed",
+        ):
+            assert getattr(a, field) == getattr(b, field), field
+        # Only the lookup and the admitting windows pass through the pipeline.
+        assert a.items_in < b.items_in
+        oracle = exhaustive_topk(queries, records, k=3, min_score=110)
+        assert _hit_keys(indexed.topk()) == _hit_keys(oracle)
+        assert _hit_keys(exhaustive_topk(queries, reference, k=3, min_score=110)) == (
+            _hit_keys(oracle)
+        )
+
+    def test_tables_are_compact_sorted_and_built_once(self):
+        ref = random_genome(5_000, seed=3)
+        index = ReferenceIndex(ref)
+        t11 = index.table(11)
+        assert t11.codes.dtype == np.uint32
+        assert t11.record.dtype == t11.pos.dtype == np.int32
+
+        def nbytes(table):
+            return table.codes.nbytes + table.record.nbytes + table.pos.nbytes
+
+        assert nbytes(t11) == 12 * (5_000 - 10)  # 12 bytes per base
+        assert index.table(11) is t11
+        assert np.all(np.diff(t11.codes.astype(np.int64)) >= 0)
+        assert np.array_equal(kmer_codes(ref, 11)[t11.pos], t11.codes)
+        t17 = index.table(17)
+        assert t17.codes.dtype == np.int64 and nbytes(t17) == 16 * (5_000 - 16)
+
+    def test_reused_across_searches(self, monkeypatch):
+        from repro.search import seeds
+
+        builds = []
+        real = seeds._kmer_table
+        monkeypatch.setattr(
+            seeds, "_kmer_table", lambda records, k: builds.append(k) or real(records, k)
+        )
+        ref, queries, _ = _planted_instance(6_000, 4, 60, seed=19)
+        index = ReferenceIndex(ref)
+        a = search_topk(queries, index, k=2)
+        b = search_topk(queries[:2], index, k=2, kmer=13)
+        c = search_topk(queries, index, k=2)
+        assert builds == [11, 13]
+        assert _hit_keys(a) == _hit_keys(c) == _hit_keys(search_topk(queries, ref, k=2))
+        assert _hit_keys(b) == _hit_keys(search_topk(queries[:2], ref, k=2, kmer=13))
+
+    def test_invalid_reference_rejected_at_construction(self):
+        with pytest.raises(ValidationError, match="'chrN'.*invalid DNA character 'N'"):
+            ReferenceIndex([FastaRecord("chr1", encode("ACGT")), FastaRecord("chrN", "ACGTN")])
+        with pytest.raises(ValidationError, match="not chunks"):
+            ReferenceIndex(list(chunk_sequence(random_genome(300, seed=1), 100, 20)))

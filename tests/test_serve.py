@@ -1,6 +1,7 @@
 """Tests for the online serving subsystem (repro.serve)."""
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -367,6 +368,86 @@ class TestAlignmentService:
                 assert service_stats_table(svc.stats)  # bare stats also accepted
 
         asyncio.run(main())
+
+
+class TestResidentReferenceIndex:
+    """``AlignmentService(database=)`` seeds every request through one index."""
+
+    def test_invalid_reference_fails_at_construction(self):
+        with pytest.raises(ValidationError, match="invalid DNA character 'N'"):
+            AlignmentService(database="ACGTNNACGT" * 100)
+
+    def test_search_and_map_match_the_full_dp_oracles(self):
+        from repro.mapping import exhaustive_map, placement_key
+        from repro.search import exhaustive_topk
+        from repro.workloads.reads import read_pairs
+
+        rs = read_pairs(8, read_length=80, reference_length=6_000, seed=23)
+        ref = rs.reference
+        reads = [rs.reads[i] for i in range(len(rs))]
+        kwargs = {"k": 3, "min_score": 120}
+        # Full verification: the default anchored band may clip shoulder
+        # placements that the full-DP oracle keeps.
+        search_kwargs = {**kwargs, "verify": "full"}
+
+        async def main():
+            async with AlignmentService(
+                backend="rowscan",
+                database=ref,
+                search_kwargs=search_kwargs,
+                map_kwargs=kwargs,
+            ) as svc:
+                hits = await asyncio.gather(*(svc.submit_search(r) for r in reads))
+                maps = await asyncio.gather(*(svc.submit_map(r) for r in reads))
+                return hits, maps
+
+        hits, maps = asyncio.run(main())
+        oracle = exhaustive_topk(reads, ref, **kwargs)
+        assert [[(h.record, h.start, h.score, h.chunk_id) for h in per] for per in hits] == [
+            [(h.record, h.start, h.score, h.chunk_id) for h in per] for per in oracle
+        ]
+        assert any(hits)
+        placements = exhaustive_map(reads, ref, **kwargs).placements
+        assert [[placement_key(p) for p in per] for per in maps] == [
+            [placement_key(p) for p in per] for per in placements
+        ]
+
+    def test_concurrent_kmer_overrides_build_each_table_once(self, monkeypatch):
+        from repro.search import resolve_windowing, search_topk, seeds
+        from repro.workloads import chunk_sequence
+
+        builds = []
+        real = seeds._kmer_table
+
+        def counting(records, k):
+            builds.append(k)
+            time.sleep(0.02)  # hold the build open while other requests arrive
+            return real(records, k)
+
+        monkeypatch.setattr(seeds, "_kmer_table", counting)
+        rng = make_rng(43)
+        ref = random_genome(20_000, seed=rng)
+        model = MutationModel(substitution=0.02, insertion=0.001, deletion=0.001)
+        queries = [mutate(ref[p : p + 90], model, seed=rng) for p in range(500, 19_000, 1_200)]
+        kmers = [11 if i % 2 else 13 for i in range(len(queries))]
+
+        async def main():
+            async with AlignmentService(
+                backend="rowscan", database=ref, dispatch_workers=8, search_kwargs={"k": 2}
+            ) as svc:
+                return await asyncio.gather(
+                    *(svc.submit_search(q, kmer=k) for q, k in zip(queries, kmers))
+                )
+
+        served = asyncio.run(main())
+        assert sorted(builds) == [11, 13]
+        for q, k, hits in zip(queries, kmers, served):
+            window, overlap = resolve_windowing(len(q))
+            (scanned,) = search_topk([q], chunk_sequence(ref, window, overlap), k=2, kmer=k)
+            assert [(h.start, h.score, h.chunk_id, h.seeds) for h in hits] == [
+                (h.start, h.score, h.chunk_id, h.seeds) for h in scanned
+            ]
+        assert all(served)
 
 
 class TestSyncClient:

@@ -10,7 +10,7 @@ import pytest
 from repro.engine import EngineConfig, ExecutionEngine
 from repro.obs.slo import SLObjective
 from repro.perf import shard_stats_table
-from repro.search import SearchConfig, TopKReducer, merge_topk, search_topk
+from repro.search import ReferenceIndex, SearchConfig, TopKReducer, merge_topk, search_topk
 from repro.search.topk import Hit
 from repro.serve import ServiceConfig, SyncAlignmentClient
 from repro.shard import (
@@ -197,10 +197,15 @@ class TestMergeableTopK:
 class TestPayloads:
     def test_raw_sequence_ships_one_record(self):
         plan = ShardPlan(num_shards=3, search=SearchConfig(window=100, overlap=20))
-        payloads, segment, fingerprint = build_pool_payloads(
-            random_genome(1000, seed=5), plan
-        )
+        ref = random_genome(1000, seed=5)
+        payloads, segment, fingerprint = build_pool_payloads(ref, plan)
         try:
+            # A prepared ReferenceIndex publishes its already-encoded records.
+            _, index_segment, index_fingerprint = build_pool_payloads(
+                ReferenceIndex(ref), plan
+            )
+            index_segment.destroy()
+            assert index_fingerprint == fingerprint
             assert len(payloads) == 3
             assert all(isinstance(p, SharedRecordPayload) for p in payloads)
             assert len({id(p) for p in payloads}) == 1  # one published copy
