@@ -59,7 +59,7 @@ class TestKmers:
         with pytest.raises(ValidationError):
             kmer_codes(encode("ACGT"), 32)
 
-    def test_seed_counts_match_set_intersection(self):
+    def test_seed_scan_counts_match_set_intersection(self):
         rng = make_rng(3)
         k = 5
         queries = [rng.integers(0, 4, 40).astype(np.uint8) for _ in range(8)]
