@@ -18,7 +18,13 @@ from repro.search.pipeline import (
     search_one,
     search_topk,
 )
-from repro.search.seeds import QueryIndex, ReferenceIndex, SeedPrefilter, kmer_codes
+from repro.search.seeds import (
+    QueryIndex,
+    ReferenceIndex,
+    ReferenceShard,
+    SeedPrefilter,
+    kmer_codes,
+)
 from repro.search.topk import Hit, TopKReducer, merge_topk
 
 __all__ = [
@@ -33,6 +39,7 @@ __all__ = [
     "search_topk",
     "QueryIndex",
     "ReferenceIndex",
+    "ReferenceShard",
     "SeedPrefilter",
     "kmer_codes",
     "Hit",

@@ -44,7 +44,7 @@ from repro.search.seeds import QueryIndex, ReferenceIndex, SeedPrefilter, classi
 from repro.search.topk import Hit, TopKReducer
 from repro.util.checks import ValidationError, check_no_callables, check_positive
 from repro.util.encoding import encode
-from repro.workloads.chunks import chunk_encoded_records, chunk_records, chunk_sequence
+from repro.workloads.chunks import chunk_records, chunk_sequence
 
 __all__ = [
     "BandedVerifyStage",
@@ -377,7 +377,7 @@ def _chunk_source(database, window: int, overlap: int):
     if kind == "chunks":
         return iter(value) if not hasattr(value, "__next__") else value
     if kind == "index":
-        return chunk_encoded_records(value.records, window, overlap)
+        return value.chunks(window, overlap)
     if kind == "records":
         return chunk_records(value, window, overlap)
     return chunk_sequence(value, window, overlap)

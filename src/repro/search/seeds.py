@@ -6,20 +6,30 @@ requires a handful of shared exact k-mers.  Two indexes meet here:
 
 * :class:`QueryIndex` — the sorted distinct k-mers of one query set, with
   their owner queries and every (query, position) occurrence.  Built per
-  search call.
+  search call.  :meth:`QueryIndex.hits` finds a sequence's k-mers that
+  occur in the query set in one masked pass: k-mer codes in blocks of
+  :data:`PASS_BLOCK` bases, every code whose low bits miss a membership
+  mask of the query k-mers dropped, one ``searchsorted`` confirming the
+  rest.
 * :class:`ReferenceIndex` — a reference prepared once for many searches:
   its records encoded and validated once, plus one sorted k-mer table per
   k, built on first use (the layout of minimap2's reference index, Li
   2018).  Windowing is not part of it: windows follow each call's longest
   query, so every call maps its k-mer hits onto its own windows.
+  :class:`ReferenceShard` is one pool worker's share of a reference
+  already encoded in shared memory: it owns the windows
+  :func:`~repro.workloads.chunks.shard_of` assigns it and finds its hits
+  with the masked pass instead of a table (a table per worker, or one
+  shared by all, would cost more resident memory than the pool's budget).
 
 :class:`SeedPrefilter` adapts seeding to the pipeline's Prefilter protocol
 and seeds from either kind of source:
 
-* a :class:`ReferenceIndex` (:meth:`SeedPrefilter.lookup`) — the query
-  k-mers are looked up in the reference table with one ``searchsorted``
-  and each hit is mapped to the windows that hold it: O(query + hits), not
-  O(reference).  Only windows that admit a query are yielded; the others
+* a :class:`ReferenceIndex` or :class:`ReferenceShard`
+  (:meth:`SeedPrefilter.lookup`) — the k-mer hits come from the table
+  (one ``searchsorted`` of the query k-mers, O(query + hits)) or from the
+  masked pass, and :meth:`ReferenceIndex.seed` maps each onto the windows
+  that hold it.  Only windows that admit a query are yielded; the others
   are accounted arithmetically.
 * pre-windowed :class:`~repro.workloads.chunks.Chunk` streams — each window
   is scanned against the query index (:meth:`QueryIndex.seed_scan`).
@@ -43,7 +53,7 @@ import numpy as np
 from repro.engine.stages import Request
 from repro.util.checks import ValidationError, check_positive
 from repro.util.encoding import encode
-from repro.workloads.chunks import Chunk, check_windowing
+from repro.workloads.chunks import Chunk, check_windowing, chunk_encoded_records, shard_of
 
 __all__ = [
     "kmer_codes",
@@ -51,11 +61,20 @@ __all__ = [
     "KmerTable",
     "QueryIndex",
     "ReferenceIndex",
+    "ReferenceShard",
     "SeedPrefilter",
 ]
 
 #: 4^k must stay inside int64: k ≤ 31.
 MAX_K = 31
+
+#: The masked pass (:meth:`QueryIndex.hits`) codes this many k-mers at a
+#: time, keeping its int64 scratch at 512 KiB whatever the sequence length.
+PASS_BLOCK = 1 << 16
+
+#: The membership mask covers a code's low ``min(2k, MASK_BITS)`` bits: a
+#: 1 MiB boolean array.
+MASK_BITS = 20
 
 #: Envelope sentinels: a (window, query) pair without seeds keeps
 #: ``diag_lo > diag_hi``.
@@ -155,6 +174,16 @@ class QueryIndex:
         first[1:] = codes[1:] != codes[:-1]
         self.kmers = codes[first]
         self.occ_ptr = np.append(np.flatnonzero(first), codes.size)
+        self._mask = None  # built by the first masked pass
+
+    def _membership(self) -> tuple[np.ndarray, int]:
+        """Boolean mask over the low bits of every query k-mer's code."""
+        low = (1 << min(2 * self.k, MASK_BITS)) - 1
+        if self._mask is None:
+            mask = np.zeros(low + 1, dtype=bool)
+            mask[self.kmers & low] = True
+            self._mask = mask
+        return self._mask, low
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -188,14 +217,34 @@ class QueryIndex:
         counts += np.bincount(pairs // nk, minlength=nq)
         return counts, diag_lo, diag_hi
 
-    def seed_scan(self, sequence: np.ndarray):
-        """:meth:`window_seeds` of one window, its hits found by scanning it."""
-        codes = kmer_codes(sequence, self.k)
-        hits = np.empty(0, dtype=np.int64)
-        if self.kmers.size and codes.size:
+    def hits(self, sequence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every k-mer of ``sequence`` that some query holds, in one masked pass.
+
+        Returns ``(pos, kidx)`` in position order: each hit's offset in
+        ``sequence`` and its index into ``kmers``.  Codes are computed
+        :data:`PASS_BLOCK` at a time; a code whose low bits miss the
+        membership mask cannot be a query k-mer and is dropped before the
+        ``searchsorted`` that confirms the rest.
+        """
+        k, seq = self.k, np.asarray(sequence, dtype=np.uint8)
+        n = seq.size - k + 1
+        if n <= 0 or not self.kmers.size:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        mask, low = self._membership()
+        pos, kidx = [], []
+        for start in range(0, n, PASS_BLOCK):
+            codes = kmer_codes(seq[start : start + PASS_BLOCK + k - 1], k)
+            keep = np.flatnonzero(mask[codes & low])
+            codes = codes[keep]
             idx = np.minimum(np.searchsorted(self.kmers, codes), self.kmers.size - 1)
-            hits = np.flatnonzero(self.kmers[idx] == codes)
-        return self.window_seeds(hits, idx[hits] if hits.size else hits)
+            found = self.kmers[idx] == codes
+            pos.append(keep[found] + start)
+            kidx.append(idx[found])
+        return np.concatenate(pos), np.concatenate(kidx)
+
+    def seed_scan(self, sequence: np.ndarray):
+        """:meth:`window_seeds` of one window, its hits found by :meth:`hits`."""
+        return self.window_seeds(*self.hits(sequence))
 
 
 @dataclass(frozen=True)
@@ -228,6 +277,19 @@ def _kmer_table(records, k: int) -> KmerTable:
     )
 
 
+def _admitted(seeds, min_seeds: int):
+    """The queries a window admits: ``(qids, counts, diag_lo, diag_hi)``.
+
+    ``seeds`` is :meth:`QueryIndex.window_seeds`'s per-query triple; only
+    the queries sharing at least ``min_seeds`` distinct k-mers with the
+    window are kept, so a candidate window holds a few entries, not one
+    per query.
+    """
+    counts, diag_lo, diag_hi = seeds
+    qids = np.flatnonzero(counts >= min_seeds)
+    return qids, counts[qids], diag_lo[qids], diag_hi[qids]
+
+
 def _encode_record(name: str, sequence) -> np.ndarray:
     if sequence is None:
         return np.empty(0, dtype=np.uint8)
@@ -248,6 +310,10 @@ class ReferenceIndex:
     accepted; :func:`~repro.search.pipeline.search` seeds through it with
     :meth:`seed` instead of scanning every window.
     """
+
+    #: Shard ``shard_id`` of ``num_shards`` owns the windows
+    #: :func:`~repro.workloads.chunks.shard_of` assigns it: all of them here.
+    num_shards, shard_id = 1, 0
 
     def __init__(self, database):
         kind, value = classify_database(database, materialize=True)
@@ -271,34 +337,54 @@ class ReferenceIndex:
                 table = self._tables[k] = _kmer_table(self.records, k)
         return table
 
-    def seed(self, index: QueryIndex, window: int, overlap: int, min_seeds: int):
-        """Seed tables of the candidate windows of one windowing.
+    def hits(self, index: QueryIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every reference occurrence of a query k-mer: ``(record, pos, kidx)``.
 
-        The windows are those :func:`~repro.workloads.chunks.chunk_encoded_records`
-        cuts from ``records`` — same ids, starts and extents; a candidate
-        shares at least ``min_seeds`` distinct k-mers with some query.
-        Returns ``(candidates, windows, bases)``: ``candidates`` lists
-        ``(chunk, counts, diag_lo, diag_hi)`` per candidate in id order,
-        with per-query arrays as :meth:`QueryIndex.seed_scan` returns them;
-        ``windows`` and ``bases`` count all windows and their bases.
+        Looked up in the table: one ``searchsorted`` of the query k-mers.
         """
-        check_windowing(window, overlap)
-        k = index.k
-        stride = window - overlap
-        lengths = np.array([codes.size for _, codes in self.records], dtype=np.int64)
-        # Windows per record: starts every stride until one reaches the end.
-        count = np.where(lengths > 0, np.maximum(0, -((window - lengths) // stride)) + 1, 0)
-        first_id = np.cumsum(count) - count
-        bases = int(np.sum(np.where(count > 0, (count - 1) * overlap + lengths, 0)))
-        # Every reference occurrence of every query k-mer.
-        table = self.table(k)
+        table = self.table(index.k)
         keys = index.kmers.astype(table.codes.dtype)
         lo = np.searchsorted(table.codes, keys, side="left")
         n = np.searchsorted(table.codes, keys, side="right") - lo
         hit = _ranges(lo, n)
         kidx = np.repeat(np.arange(keys.size), n)
-        rec = table.record[hit]
-        pos = table.pos[hit].astype(np.int64)
+        return table.record[hit], table.pos[hit].astype(np.int64), kidx
+
+    def chunks(self, window: int, overlap: int):
+        """The windows this index seeds, cut as
+        :func:`~repro.workloads.chunks.chunk_encoded_records` cuts them."""
+        return (
+            chunk
+            for chunk in chunk_encoded_records(self.records, window, overlap)
+            if shard_of(chunk.id, self.num_shards) == self.shard_id
+        )
+
+    def seed(self, index: QueryIndex, window: int, overlap: int, min_seeds: int):
+        """Seed tables of the candidate windows of one windowing.
+
+        The windows are those :meth:`chunks` yields — same ids, starts and
+        extents; a candidate shares at least ``min_seeds`` distinct k-mers
+        with some query.  Returns ``(candidates, windows, bases)``:
+        ``candidates`` lists ``(chunk, qids, counts, diag_lo, diag_hi)``
+        per candidate in id order, for the queries it admits only (see
+        :func:`_admitted`); ``windows`` and ``bases`` count all the windows
+        and their bases.
+        """
+        check_windowing(window, overlap)
+        k, n, s = index.k, self.num_shards, self.shard_id
+        stride = window - overlap
+        lengths = np.array([codes.size for _, codes in self.records], dtype=np.int64)
+        # Windows per record: starts every stride until one reaches the end.
+        count = np.where(lengths > 0, np.maximum(0, -((window - lengths) // stride)) + 1, 0)
+        first_id = np.cumsum(count) - count
+        # Owned windows, and their bases: every window is full except the
+        # last of each record.
+        owned = int(count.sum() - s + n - 1) // n
+        last = first_id + count - 1
+        short = (count > 0) & (last % n == s)
+        tail = window - (lengths - (count - 1) * stride)
+        bases = owned * window - int(np.sum(tail[short]))
+        rec, pos, kidx = self.hits(index)
         # A hit lies in window j of its record iff j·stride ≤ pos and
         # pos + k ≤ j·stride + window (the last window reaches the end).
         j_lo = np.maximum(0, -((window - k - pos) // stride))
@@ -308,24 +394,58 @@ class ReferenceIndex:
         rec, kidx = np.repeat(rec, m), np.repeat(kidx, m)
         pos = np.repeat(pos, m) - j * stride  # now relative to the window
         wid = first_id[rec] + j
-        # Group the hits by window id, ascending.
-        order = np.argsort(wid, kind="stable")
+        mine = wid % n == s
+        # Group this shard's hits by window id, ascending.
+        order = np.flatnonzero(mine)[np.argsort(wid[mine], kind="stable")]
         wid, j, rec, pos, kidx = (a[order] for a in (wid, j, rec, pos, kidx))
         first = np.flatnonzero(np.diff(wid, prepend=-1))
         candidates = []
         for a, b in zip(first, np.append(first[1:], wid.size)):
             if b - a < min_seeds:  # too few hits to admit any query
                 continue
-            seeds = index.window_seeds(pos[a:b], kidx[a:b])
-            if seeds[0].max() < min_seeds:
+            admitted = _admitted(index.window_seeds(pos[a:b], kidx[a:b]), min_seeds)
+            if not admitted[0].size:
                 continue
             name, codes = self.records[rec[a]]
             start = int(j[a]) * stride
             chunk = Chunk(
                 id=int(wid[a]), record=name, start=start, sequence=codes[start : start + window]
             )
-            candidates.append((chunk, *seeds))
-        return candidates, int(count.sum()), bases
+            candidates.append((chunk, *admitted))
+        return candidates, owned, bases
+
+
+class ReferenceShard(ReferenceIndex):
+    """One shard's share of an encoded reference: no table, a masked pass.
+
+    ``records`` are ``(name, uint8 codes)`` pairs already encoded and
+    validated — in a pool worker, zero-copy views into the published
+    shared-memory segment.  The shard owns the windows with
+    ``shard_of(id, num_shards) == shard_id``; :meth:`hits` runs
+    :meth:`QueryIndex.hits` over every record, so seeding costs one pass
+    over the reference per call and no resident memory.  Drop the shard
+    before detaching the segment its records view.
+    """
+
+    def __init__(self, records, num_shards: int, shard_id: int):
+        check_positive(num_shards, "num_shards")
+        if not 0 <= shard_id < num_shards:
+            raise ValidationError(
+                f"shard_id must be in [0, {num_shards}), got {shard_id}"
+            )
+        self.records = tuple(records)
+        self.num_shards, self.shard_id = num_shards, shard_id
+
+    def hits(self, index: QueryIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every reference occurrence of a query k-mer, by :meth:`QueryIndex.hits`."""
+        empty = np.empty(0, dtype=np.int64)
+        rec, pos, kidx = [empty], [empty], [empty]
+        for rid, (_, codes) in enumerate(self.records):
+            p, kx = index.hits(codes)
+            rec.append(np.full(p.size, rid, dtype=np.int64))
+            pos.append(p)
+            kidx.append(kx)
+        return np.concatenate(rec), np.concatenate(pos), np.concatenate(kidx)
 
 
 @dataclass
@@ -371,7 +491,8 @@ class SeedPrefilter:
 
     def expand(self, item) -> list[Request]:
         if isinstance(item, Chunk):
-            return self._admit(item, *self.index.seed_scan(item.sequence))
+            seeds = self.index.seed_scan(item.sequence)
+            return self._admit(item, *_admitted(seeds, self.min_seeds))
         if isinstance(item, _Lookup):
             item.candidates = self._run_lookup(item)
             return []
@@ -385,12 +506,9 @@ class SeedPrefilter:
         self._count(windows - len(candidates), 0, self.index.lengths.sum() * rejected_bases)
         return candidates
 
-    def _admit(self, chunk: Chunk, counts, diag_lo, diag_hi) -> list[Request]:
-        passing = np.flatnonzero(counts >= self.min_seeds)
+    def _admit(self, chunk: Chunk, qids, counts, diag_lo, diag_hi) -> list[Request]:
         lengths = self.index.lengths
-        self._count(
-            1, passing.size, (lengths.sum() - lengths[passing].sum()) * len(chunk)
-        )
+        self._count(1, qids.size, (lengths.sum() - lengths[qids].sum()) * len(chunk))
         return [
             Request(
                 key=(int(qid), chunk.id),
@@ -399,14 +517,14 @@ class SeedPrefilter:
                 meta={
                     "query_id": int(qid),
                     "chunk": chunk,
-                    "seeds": int(counts[qid]),
+                    "seeds": int(n),
                     # Seed-diagonal envelope: an admitted query always has
                     # ≥ min_seeds ≥ 1 seeds, so the envelope is real.
-                    "diag_lo": int(diag_lo[qid]),
-                    "diag_hi": int(diag_hi[qid]),
+                    "diag_lo": int(lo),
+                    "diag_hi": int(hi),
                 },
             )
-            for qid in passing
+            for qid, n, lo, hi in zip(qids, counts, diag_lo, diag_hi)
         ]
 
     def _count(self, windows: int, admitted: int, rejected_cells) -> None:

@@ -11,16 +11,20 @@ construction (each embedded config enforces that invariant in its own
 
 Chunk ownership is :func:`repro.workloads.chunks.shard_of` — a pure
 function of the global chunk ordinal — so the parent never sends chunk
-assignments: every worker windows the same reference with the plan's
-resolved ``window``/``overlap`` and keeps the ordinals it owns, which is
-what makes the merged result bit-identical to a single-process scan.
+assignments: every worker maps its k-mer hits onto the windows of the
+plan's resolved ``window``/``overlap`` and keeps the ordinals it owns,
+which is what makes the merged result bit-identical to a single-process
+search.
 
 :class:`SharedRecordPayload` / :class:`ChunkPayload` are the shapes a
 database crosses the boundary in (both built by
 :func:`build_pool_payloads`): a shared-memory segment published once,
 where only metadata is pickled and workers attach zero-copy, or an
 explicit pre-partitioned chunk list (databases supplied as chunk
-iterators cannot be regenerated remotely).
+iterators cannot be regenerated remotely).  A worker asks its resident
+payload for a *shard view* per command — a
+:class:`~repro.search.seeds.ReferenceShard` over the attached records, or
+this shard's chunk list — and searches it like any database.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import dataclass, field
 
 from repro.engine.engine import EngineConfig
 from repro.search.pipeline import SearchConfig, classify_database
+from repro.search.seeds import ReferenceShard
 from repro.shard.shm import (
     SharedReferenceMeta,
     attach_segment,
@@ -37,12 +42,7 @@ from repro.shard.shm import (
 )
 from repro.util.checks import ValidationError, check_positive
 from repro.util.encoding import encode
-from repro.workloads.chunks import (
-    chunk_encoded_records,
-    partition_chunks,
-    shard_chunks,
-    shard_of,
-)
+from repro.workloads.chunks import partition_chunks, shard_of
 
 __all__ = [
     "ShardPlan",
@@ -82,7 +82,7 @@ class ChunkPayload:
 
     chunks: tuple  # (Chunk, ...) owned by this shard, scan order
 
-    def chunk_iter(self, plan: ShardPlan, shard_id: int):
+    def shard_view(self, plan: ShardPlan, shard_id: int):
         return iter(self.chunks)
 
 
@@ -99,21 +99,23 @@ class _AttachedRecordPayload:
     """Worker-resident view over a published reference segment.
 
     Built by :meth:`SharedRecordPayload.attach` inside the worker; holds
-    the attachment open across many searches and windows the zero-copy
-    record views per call (the windowing can differ per query set, the
-    bytes never move).
+    the attachment open across many searches and hands out a shard view
+    over the zero-copy record views per call (the windowing can differ per
+    query set, the bytes never move).
     """
 
     def __init__(self, meta: SharedReferenceMeta):
         self._ref = attach_segment(meta)
         self.meta = meta
 
-    def chunk_iter(self, plan: ShardPlan, shard_id: int):
+    def shard_view(self, plan: ShardPlan, shard_id: int) -> ReferenceShard:
+        """This shard's windows of the attached reference, for one command.
+
+        The view holds record views into the segment: drop it before
+        :meth:`close`.
+        """
         _check_windowing(plan)
-        chunks = chunk_encoded_records(
-            self._ref.records(), plan.search.window, plan.search.overlap
-        )
-        return shard_chunks(chunks, plan.num_shards, shard_id)
+        return ReferenceShard(self._ref.records(), plan.num_shards, shard_id)
 
     def close(self) -> None:
         self._ref.close()

@@ -124,10 +124,9 @@ class ShardRunStats:
 class PoolStats:
     """Lifetime accounting for one :class:`~repro.shard.pool.ShardWorkerPool`.
 
-    ``worker_attach_s``/``worker_ready_s`` hold the *latest* per-shard
-    measurements (refreshed on respawn and reference swap): attach is the
-    shared-memory map + view construction, ready is the whole startup
-    handshake including engine build.  ``payload_bytes`` is the published
+    ``worker_attach_s`` holds the *latest* per-shard attach time — the
+    shared-memory map + view construction, refreshed on respawn and
+    reference swap.  ``payload_bytes`` is the published
     segment size — the O(1)-in-workers transfer the pool exists to make.
     """
 
@@ -144,12 +143,10 @@ class PoolStats:
     payload_bytes: int = 0  # resident segment size (0 = pickled chunk lists)
     transport: str = "shared_memory"  # or "pickle" for chunk databases
     worker_attach_s: dict = field(default_factory=dict)  # shard id -> seconds
-    worker_ready_s: dict = field(default_factory=dict)  # shard id -> seconds
     last_run: ShardRunStats | None = None
 
     def record_ready(self, shard_id: int, ready: dict):
         self.worker_attach_s[shard_id] = ready.get("attach_s", 0.0)
-        self.worker_ready_s[shard_id] = ready.get("ready_s", 0.0)
 
     def snapshot(self) -> dict:
         """JSON-shaped copy (bench files, pool residency tables)."""

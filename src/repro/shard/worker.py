@@ -11,10 +11,19 @@ Startup: the worker builds its engine **once**, attaches its payload (for
 :class:`~repro.shard.plan.SharedRecordPayload` this maps the published
 shared-memory segment and builds zero-copy record views — after the
 engine, so a bad engine config never dies holding live views), and
-reports ``("ready", shard_id, -1, stats, ts)``.  It
+reports ``("ready", shard_id, -1, {"attach_s": seconds}, ts)``.  It
 then blocks on the command queue and services commands until told to
 stop — the whole point: spawn + attach + engine build are paid once and
 amortized over every subsequent search.
+
+Per work command the worker asks its resident payload for a shard view
+(:class:`~repro.search.seeds.ReferenceShard` over the attached records)
+and searches it: one masked pass over the reference finds the query
+k-mers' hits, each hit is mapped onto the command's windows, and only
+windows this shard owns (``shard_of(id)``) holding at least ``min_seeds``
+hits get seed tables, those admitting a query are verified, and the rest
+are counted arithmetically.  The view dies with the command, so no view of the
+segment outlives it.
 
 Command protocol (parent → worker on the per-worker command queue; every
 reply carries ``(tag, shard_id, seq, ..., done_ts)`` on the shared result
@@ -23,7 +32,7 @@ can discard stale replies after a failed run).  Work commands share one
 shape, ``(op, seq, queries, search_cfg, map_cfg, carrier)``, and one
 reply, ``("ok", shard_id, seq, results, ShardWorkerStats, ts, obs)``.
 ``search_cfg`` is a resolved :class:`~repro.search.pipeline.SearchConfig`
-that windows the resident reference for this call.  ``carrier`` (None =
+whose windowing the shard view maps its hits onto.  ``carrier`` (None =
 untraced) is a propagated trace position: the worker traces the command
 under it and ships the finished spans back in ``obs["spans"]``, alongside
 the metrics-registry delta since its previous reply (``obs["metrics"]`` —
@@ -31,12 +40,13 @@ counters/histograms only, so cross-process merging never clobbers parent
 gauges) and its wall clock (``obs["wall"]``).
 
 * ``op == "search"`` (``map_cfg`` None) — ``results`` is one bounded
-  per-query top-K over the shard's windows of the resident reference.
+  per-query top-K over the shard's owned windows of the resident
+  reference.
 * ``op == "map"`` — ``map_cfg`` is a resolved
   :class:`repro.mapping.MappingConfig` and ``results`` is the full
   per-shard read-mapping stage
   (:func:`repro.mapping.shard_map_placements`): both-strand hit search
-  over the shard's windows plus exact traceback extension, returning
+  over the shard's owned windows plus exact traceback extension, returning
   **pre-dedup** per-read placement lists (each placement still carrying
   its source hit) for the parent's global merge.
 
@@ -66,6 +76,7 @@ import time
 import traceback
 from dataclasses import replace
 
+from repro.search.pipeline import search
 from repro.shard.plan import ShardPlan
 from repro.shard.stats import ShardWorkerStats
 
@@ -115,13 +126,45 @@ def _detach(resident) -> None:
         close()
 
 
+def _work(resident, engine, plan: ShardPlan, shard_id: int, tracer, cmd):
+    """One search or map command: ``(results, ShardWorkerStats)``.
+
+    A function of its own so the shard view, which holds views into the
+    shared segment, is released when the command ends, not when the next
+    one rebinds it.
+    """
+    op, _, enc_queries, search_cfg, map_cfg, carrier = cmd
+    t0 = time.perf_counter()
+    source = resident.shard_view(replace(plan, search=search_cfg), shard_id)
+    with tracer.activate(carrier), tracer.span(
+        f"worker.{op}", shard=shard_id, queries=len(enc_queries)
+    ):
+        if op == "map":
+            # The full per-shard mapping stage: both-strand search + exact
+            # extension, NO dedup — the parent's merge replays the global
+            # hit top-K over these pre-dedup lists (window bases are
+            # stripped before shipping).
+            from repro.mapping import shard_map_placements
+
+            results, pstats, _ext = shard_map_placements(
+                enc_queries, source, map_cfg, search_cfg, engine=engine
+            )
+            count = sum(len(p) for p in results)
+        else:
+            run = search(enc_queries, source, engine=engine, **search_cfg.search_kwargs())
+            results = run.topk()
+            pstats = run.stats
+            count = sum(len(hits) for hits in results)
+    stats = ShardWorkerStats.from_pipeline(
+        shard_id, pstats, hits=count, search_s=time.perf_counter() - t0
+    )
+    return results, stats
+
+
 def run_pool_worker(plan: ShardPlan, shard_id: int, payload, cmd_q, out_q) -> None:
     """Serve search commands for one shard until shutdown (see module doc)."""
-    t_start = time.perf_counter()
     resident = engine = None
     try:
-        from repro.search.pipeline import search
-
         # Engine first: it depends only on the plan, so a bad config dies
         # before any shared-memory views exist (a child exiting with live
         # exported views can't unmap cleanly and whines at shutdown).
@@ -137,15 +180,7 @@ def run_pool_worker(plan: ShardPlan, shard_id: int, payload, cmd_q, out_q) -> No
         if engine is not None:
             engine.close()
         return
-    out_q.put(
-        (
-            "ready",
-            shard_id,
-            -1,
-            {"attach_s": attach_s, "ready_s": time.perf_counter() - t_start},
-            time.monotonic(),
-        )
-    )
+    out_q.put(("ready", shard_id, -1, {"attach_s": attach_s}, time.monotonic()))
     from repro.obs import MetricsRegistry, get_registry, get_tracer
 
     tracer = get_tracer()
@@ -180,47 +215,10 @@ def run_pool_worker(plan: ShardPlan, shard_id: int, payload, cmd_q, out_q) -> No
                         )
                     )
                 elif op in ("search", "map"):
-                    _, _, enc_queries, search_cfg, map_cfg, carrier = cmd
-                    splan = replace(plan, search=search_cfg)
-                    t0 = time.perf_counter()
-                    source = resident.chunk_iter(splan, shard_id)
+                    carrier = cmd[5]
                     if carrier is not None:
                         tracer.enable()
-                    with tracer.activate(carrier), tracer.span(
-                        f"worker.{op}", shard=shard_id, queries=len(enc_queries)
-                    ):
-                        if op == "map":
-                            # The full per-shard mapping stage: both-strand
-                            # search + exact extension, NO dedup — the
-                            # parent's merge replays the global hit top-K
-                            # over these pre-dedup lists (window bases are
-                            # stripped before shipping).
-                            from repro.mapping import shard_map_placements
-
-                            results, pstats, _ext = shard_map_placements(
-                                enc_queries,
-                                source,
-                                map_cfg,
-                                search_cfg,
-                                engine=engine,
-                            )
-                            count = sum(len(p) for p in results)
-                        else:
-                            run = search(
-                                enc_queries,
-                                source,
-                                engine=engine,
-                                **search_cfg.search_kwargs(),
-                            )
-                            results = run.topk()
-                            pstats = run.stats
-                            count = sum(len(hits) for hits in results)
-                    stats = ShardWorkerStats.from_pipeline(
-                        shard_id,
-                        pstats,
-                        hits=count,
-                        search_s=time.perf_counter() - t0,
-                    )
+                    results, stats = _work(resident, engine, plan, shard_id, tracer, cmd)
                     spans = []
                     if carrier is not None:
                         spans = [s.to_tuple() for s in tracer.drain()]

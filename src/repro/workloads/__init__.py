@@ -7,7 +7,6 @@ from repro.workloads.chunks import (
     chunk_records,
     chunk_sequence,
     partition_chunks,
-    shard_chunks,
     shard_of,
 )
 from repro.workloads.genomes import GenomePair, random_genome, related_pair
@@ -34,7 +33,6 @@ __all__ = [
     "chunk_records",
     "chunk_sequence",
     "partition_chunks",
-    "shard_chunks",
     "shard_of",
     "GenomePair",
     "random_genome",

@@ -29,7 +29,6 @@ __all__ = [
     "chunk_encoded_records",
     "check_windowing",
     "shard_of",
-    "shard_chunks",
     "partition_chunks",
 ]
 
@@ -115,20 +114,6 @@ def shard_of(chunk_id: int, num_shards: int) -> int:
     """
     check_positive(num_shards, "num_shards")
     return chunk_id % num_shards
-
-
-def shard_chunks(
-    chunks: Iterable[Chunk], num_shards: int, shard_id: int
-) -> Iterator[Chunk]:
-    """Lazily filter a chunk stream down to one shard's owned windows."""
-    check_positive(num_shards, "num_shards")
-    if not 0 <= shard_id < num_shards:
-        raise ValidationError(
-            f"shard_id must be in [0, {num_shards}), got {shard_id}"
-        )
-    for chunk in chunks:
-        if shard_of(chunk.id, num_shards) == shard_id:
-            yield chunk
 
 
 def partition_chunks(chunks: Iterable[Chunk], num_shards: int) -> list[list[Chunk]]:

@@ -9,11 +9,13 @@ from repro.engine import ExecutionEngine, PlanCache
 from repro.search import (
     QueryIndex,
     ReferenceIndex,
+    ReferenceShard,
     SeedPrefilter,
     TopKReducer,
     default_search_scheme,
     exhaustive_topk,
     kmer_codes,
+    merge_topk,
     resolve_windowing,
     search,
     search_topk,
@@ -70,6 +72,32 @@ class TestKmers:
         for qid, q in enumerate(queries):
             expect = len(set(kmer_codes(q, k).tolist()) & sset)
             assert counts[qid] == expect
+
+    @pytest.mark.parametrize("kmer", [5, 8, 11, 17])
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_hits_match_brute_force(self, kmer, block, monkeypatch):
+        from repro.search import seeds
+
+        if block is not None:  # many blocks, hits straddling their seams
+            monkeypatch.setattr(seeds, "PASS_BLOCK", block)
+        rng = make_rng(kmer)
+        ref = random_genome(3_000, seed=rng)
+        queries = [ref[s : s + 60] for s in (100, 1_200, 2_900)]
+        queries.append(random_genome(60, seed=rng))
+        index = QueryIndex(queries, k=kmer)
+        # Plant a k-mer that shares a query k-mer's low code bits only: the
+        # mask lets it through and the searchsorted must drop it.
+        decoy = queries[3][:kmer].copy()
+        decoy[0] = (decoy[0] + 1) % 4
+        subject = np.concatenate([ref, decoy, queries[3][5:40]])
+        pos, kidx = index.hits(subject)
+        codes = kmer_codes(subject, kmer)
+        member = {int(c): i for i, c in enumerate(index.kmers)}
+        expect = [(p, member[int(c)]) for p, c in enumerate(codes) if int(c) in member]
+        assert list(zip(pos.tolist(), kidx.tolist())) == expect
+        assert pos.dtype == kidx.dtype == np.int64
+        empty = index.hits(subject[: kmer - 1])
+        assert empty[0].size == empty[1].size == 0
 
     def test_query_shorter_than_k_rejected(self):
         with pytest.raises(ValidationError, match="shorter"):
@@ -427,6 +455,47 @@ class TestReferenceIndex:
         assert _hit_keys(exhaustive_topk(queries, reference, k=3, min_score=110)) == (
             _hit_keys(oracle)
         )
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kmer", [8, 11, 17])
+    @pytest.mark.parametrize("min_seeds", [1, 2, 3])
+    def test_shard_views_partition_the_lookup(self, num_shards, kmer, min_seeds):
+        """The masked pass over each shard's windows ≡ the table lookup."""
+        for seed, windowing in ((1, None), (2, (150, 40))):
+            records = _indexed_reference(seed)
+            queries = _indexed_queries(records, seed + 10)
+            window, overlap = windowing or resolve_windowing(max(len(q) for q in queries))
+            index = QueryIndex(queries, k=kmer)
+            reference = ReferenceIndex(records)
+            pf = SeedPrefilter(index, min_seeds=min_seeds)
+            whole, counters = _admissions(pf, pf.lookup(reference, window, overlap))
+            union, sums = {}, np.zeros(4, dtype=np.int64)
+            for shard_id in range(num_shards):
+                shard = ReferenceShard(reference.records, num_shards, shard_id)
+                pf = SeedPrefilter(index, min_seeds=min_seeds)
+                got, part = _admissions(pf, pf.lookup(shard, window, overlap))
+                assert all(key[1] % num_shards == shard_id for key in got)
+                union.update(got)
+                sums += part
+            assert union == whole
+            assert tuple(sums) == counters
+            assert whole, "the instance admits nothing"
+
+    def test_shard_views_search_merges_to_the_index_search(self):
+        records = _indexed_reference(4)
+        queries = _indexed_queries(records, 14)
+        kwargs = dict(k=3, min_score=110)
+        reference = ReferenceIndex(records)
+        whole = search(queries, reference, **kwargs)
+        shards = [ReferenceShard(reference.records, 3, i) for i in range(3)]
+        runs = [search(queries, shard, **kwargs) for shard in shards]
+        merged = merge_topk([run.topk() for run in runs], num_queries=len(queries), k=3)
+        assert hit_keys(merged) == hit_keys(whole.topk())
+        for field in ("candidates", "admitted", "rejected", "cells_skipped_prefilter"):
+            assert sum(getattr(run.stats, field) for run in runs) == getattr(
+                whole.stats, field
+            ), field
+        assert _hit_keys(merged) == _hit_keys(exhaustive_topk(queries, records, **kwargs))
 
     def test_tables_are_compact_sorted_and_built_once(self):
         ref = random_genome(5_000, seed=3)

@@ -10,7 +10,14 @@ import pytest
 from repro.engine import EngineConfig, ExecutionEngine
 from repro.obs.slo import SLObjective
 from repro.perf import shard_stats_table
-from repro.search import ReferenceIndex, SearchConfig, TopKReducer, merge_topk, search_topk
+from repro.search import (
+    ReferenceIndex,
+    ReferenceShard,
+    SearchConfig,
+    TopKReducer,
+    merge_topk,
+    search_topk,
+)
 from repro.search.topk import Hit
 from repro.serve import ServiceConfig, SyncAlignmentClient
 from repro.shard import (
@@ -30,7 +37,6 @@ from repro.workloads import (
     chunk_sequence,
     partition_chunks,
     random_genome,
-    shard_chunks,
     shard_of,
 )
 
@@ -52,17 +58,19 @@ class TestPartitioning:
         with pytest.raises(ValidationError):
             shard_of(0, 0)
 
-    def test_shard_chunks_disjoint_cover(self):
-        chunks = list(chunk_sequence(random_genome(2000, seed=1), 200, 50))
-        shards = [list(shard_chunks(iter(chunks), 3, i)) for i in range(3)]
+    def test_shard_views_disjoint_cover(self):
+        ref = random_genome(2000, seed=1)
+        chunks = list(chunk_sequence(ref, 200, 50))
+        records = ReferenceIndex(ref).records
+        shards = [list(ReferenceShard(records, 3, i).chunks(200, 50)) for i in range(3)]
         ids = [sorted(c.id for c in part) for part in shards]
         assert sorted(sum(ids, [])) == [c.id for c in chunks]
         for i, part in enumerate(shards):
             assert all(c.id % 3 == i for c in part)
 
-    def test_shard_chunks_validates_shard_id(self):
+    def test_shard_view_validates_shard_id(self):
         with pytest.raises(ValidationError):
-            list(shard_chunks(iter(()), 2, 2))
+            ReferenceShard((), 2, 2)
 
     def test_partition_chunks_preserves_scan_order(self):
         chunks = list(chunk_sequence(random_genome(2000, seed=2), 150, 0))
@@ -211,10 +219,11 @@ class TestPayloads:
             assert len({id(p) for p in payloads}) == 1  # one published copy
             assert fingerprint == segment.meta.fingerprint
             attached = payloads[0].attach()
-            owned = [list(attached.chunk_iter(plan, i)) for i in range(3)]
-            ids = sorted(c.id for part in owned for c in part)
+            views = [attached.shard_view(plan, i) for i in range(3)]
+            assert [(v.num_shards, v.shard_id) for v in views] == [(3, i) for i in range(3)]
+            ids = sorted(c.id for v in views for c in v.chunks(100, 20))
             assert ids == list(range(len(ids))) and len(ids) > 0
-            del owned  # chunk views pin the attachment's mapping
+            del views  # record views pin the attachment's mapping
             attached.close()
         finally:
             segment.destroy()
@@ -234,7 +243,7 @@ class TestPayloads:
         attached = payloads[0].attach()
         try:
             with pytest.raises(ValidationError, match="unresolved"):
-                list(attached.chunk_iter(plan, 0))
+                attached.shard_view(plan, 0)
         finally:
             attached.close()
             segment.destroy()
@@ -301,27 +310,27 @@ class TestShardedSearch:
 
 
 class _ExitBomb:
-    """Payload whose chunk_iter kills the worker without reporting."""
+    """Payload whose shard_view kills the worker without reporting."""
 
-    def chunk_iter(self, plan, shard_id):
+    def shard_view(self, plan, shard_id):
         if shard_id == 1:
             os._exit(3)
         return iter(())
 
 
 class _SilentExitBomb:
-    """Payload whose chunk_iter exits the worker cleanly without reporting."""
+    """Payload whose shard_view exits the worker cleanly without reporting."""
 
-    def chunk_iter(self, plan, shard_id):
+    def shard_view(self, plan, shard_id):
         if shard_id == 1:
             os._exit(0)
         return iter(())
 
 
 class _HangBomb:
-    """Payload whose chunk_iter wedges the worker forever."""
+    """Payload whose shard_view wedges the worker forever."""
 
-    def chunk_iter(self, plan, shard_id):
+    def shard_view(self, plan, shard_id):
         time.sleep(600)
         return iter(())
 
