@@ -25,7 +25,6 @@ deterministically, and ``close()`` is idempotent.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +36,7 @@ from repro.engine.batching import ShapeBatcher, encode_pairs
 from repro.engine.executor import BatchExecutor, PlanExecutorStage
 from repro.engine.plans import PlanCache, global_plan_cache
 from repro.engine.stages import Batch, PipelineStats, Request, ScoreCollector, StreamPipeline
+from repro.engine.stages import execute_timer
 from repro.util.checks import check_in, check_no_callables
 from repro.util.encoding import encode
 
@@ -280,12 +280,14 @@ class ExecutionEngine:
         self.stats.record(name)
         stage = PlanExecutorStage(plan)
         lanes = self.executor.lanes if plan.lane_batching else 1
-        t0 = time.perf_counter()
-        parts = [
-            Batch(shape=batch.shape, requests=batch.requests[off : off + lanes])
-            for off in range(0, len(batch.requests), lanes)
-        ]
-        scores = np.concatenate([stage.execute(part) for part in parts])
+        with execute_timer(
+            _DIRECT, "execute", batch=len(batch), shape=list(batch.shape)
+        ) as t:
+            parts = [
+                Batch(shape=batch.shape, requests=batch.requests[off : off + lanes])
+                for off in range(0, len(batch.requests), lanes)
+            ]
+            scores = np.concatenate([stage.execute(part) for part in parts])
         lane_blocks = sum(1 for p in parts if len(p) > 1)
         self.stats.absorb(
             _direct_stats(
@@ -293,7 +295,7 @@ class ExecutionEngine:
                 batch.cells,
                 lane_blocks=lane_blocks,
                 scalar_pops=len(parts) - lane_blocks,
-                seconds=time.perf_counter() - t0,
+                seconds=t.seconds,
             )
         )
         return scores
@@ -369,8 +371,8 @@ class ExecutionEngine:
         name = self._resolve(backend, enc_q, enc_s, need_traceback=True)
         plan = self.plan_cache.get_or_build(self.scheme, name, self.dtype)
         self.stats.record(name)
-        t0 = time.perf_counter()
-        results = self.executor.run_aligns(plan, enc_q, enc_s)
+        with execute_timer(_DIRECT, "execute", batch=len(enc_q)) as t:
+            results = self.executor.run_aligns(plan, enc_q, enc_s)
         # Traceback has no lane kernel: every pair is one scalar pop.
         self.stats.absorb(
             _direct_stats(
@@ -378,7 +380,7 @@ class ExecutionEngine:
                 sum(q.size * s.size for q, s in zip(enc_q, enc_s)),
                 lane_blocks=0,
                 scalar_pops=len(enc_q),
-                seconds=time.perf_counter() - t0,
+                seconds=t.seconds,
             )
         )
         return results
@@ -398,6 +400,10 @@ class ExecutionEngine:
         )
 
 
+#: Work run without a pipeline feeds the engine pipelines' metric series.
+_DIRECT = "pipeline"
+
+
 def _direct_stats(
     pairs: int, cells: int, lane_blocks: int, scalar_pops: int, seconds: float
 ) -> PipelineStats:
@@ -409,7 +415,7 @@ def _direct_stats(
     ps.lane_blocks = lane_blocks
     ps.scalar_pops = scalar_pops
     ps.cells_computed = cells
-    ps.stages["execute"].add(seconds, pairs)
+    ps.stages["execute"].add(pairs, seconds)
     return ps
 
 

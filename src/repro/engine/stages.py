@@ -17,22 +17,24 @@ results stream out of :meth:`StreamPipeline.run` as batches complete while
 the source is still being consumed.  Batch execution overlaps through the
 engine's thread-pooled :class:`~repro.engine.executor.BatchExecutor`
 (bounded outstanding futures, reduced in submission order, so emission
-order is deterministic).  Every stage is timed into a shared
+order is deterministic).  Every stage is counted into a shared
 :class:`PipelineStats`, rendered by
-:func:`repro.perf.report.pipeline_stats_table`.
+:func:`repro.perf.report.pipeline_stats_table`; the prefilter, execute
+and reduce stages are also timed, each region read once by
+:class:`repro.obs.timed` for its span and ledger seconds (execute also
+for the ``pipeline_stage_seconds`` histogram).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.obs import get_logger, get_registry, get_tracer
+from repro.obs import get_logger, get_registry, get_tracer, timed
 from repro.util.checks import check_positive
 
 #: Module-level so the hot loop pays a global load, not a dict lookup.
@@ -159,14 +161,15 @@ class Reducer(Protocol):
 # -- instrumentation --------------------------------------------------------
 @dataclass
 class StageStats:
-    """Wall time + throughput accounting of one pipeline stage."""
+    """Call/item counts of one pipeline stage, plus wall time for the
+    timed stages (prefilter, execute, reduce)."""
 
     seconds: float = 0.0
     calls: int = 0
     items: int = 0
 
-    def add(self, dt: float, items: int = 1):
-        self.seconds += dt
+    def add(self, items: int = 1, seconds: float = 0.0):
+        self.seconds += seconds
         self.calls += 1
         self.items += items
 
@@ -246,6 +249,25 @@ _PIPELINE_COUNTER_FIELDS = (
     "cells_skipped_prefilter",
     "flushes",
 )
+
+
+def execute_timer(pipeline: str, stage: str, **attrs) -> timed:
+    """One execute-stage batch as a :class:`~repro.obs.timed` region.
+
+    Its one reading is the span ``stage``, an observation of
+    ``pipeline_stage_seconds{pipeline, stage}`` and the ledger's seconds.
+    """
+    reg = get_registry()
+    hist = (
+        reg.histogram(
+            "pipeline_stage_seconds",
+            "Per-batch execute-stage wall time",
+            labels=("pipeline", "stage"),
+        )
+        if reg.enabled
+        else None
+    )
+    return timed(stage, hist=hist, labels={"pipeline": pipeline, "stage": stage}, **attrs)
 
 
 class _Immediate:
@@ -347,45 +369,34 @@ class StreamPipeline:
 
     # Executed on pool workers: must only touch stats under the lock.
     def _timed_execute(self, batch: Batch) -> np.ndarray:
-        t0 = time.perf_counter()
-        scores = self.stage.execute(batch)
-        dt = time.perf_counter() - t0
         st = self.stats
         cells_of = getattr(self.stage, "cells_of", None)
         if cells_of is not None:
             computed, skipped = cells_of(batch)
         else:
             computed, skipped = batch.cells, 0
+        # Pool worker threads do not inherit the contextvar; parent on the
+        # root-span context captured when the run opened.
+        with execute_timer(
+            self.trace_name,
+            self._span_names["execute"],
+            parent=self._run_ctx,
+            batch=len(batch),
+            shape=list(batch.shape),
+            cells=computed,
+        ) as t:
+            scores = self.stage.execute(batch)
         with st._lock:
-            st.stages["execute"].add(dt, len(batch))
+            st.stages["execute"].add(len(batch), t.seconds)
             st.cells_computed += computed
             st.cells_skipped_band += skipped
-        tracer = get_tracer()
-        if tracer.enabled:
-            # Pool worker threads do not inherit the contextvar; parent on
-            # the root-span context captured when the run opened.
-            tracer.record_span(
-                self._span_names["execute"],
-                dt,
-                parent=self._run_ctx,
-                batch=len(batch),
-                shape=list(batch.shape),
-                cells=computed,
-            )
-        reg = get_registry()
-        if reg.enabled:
-            reg.histogram(
-                "pipeline_stage_seconds",
-                "Per-batch stage wall time",
-                labels=("pipeline", "stage"),
-            ).observe(dt, pipeline=self.trace_name, stage=self._span_names["execute"])
         if _log.enabled_for("debug"):  # one compare on the default config
             _log.debug(
                 "batch executed",
                 pipeline=self.trace_name,
                 batch=len(batch),
                 cells=computed,
-                seconds=dt,
+                seconds=t.seconds,
             )
         return scores
 
@@ -397,12 +408,12 @@ class StreamPipeline:
             raise ReproError("executor is closed")
         tracer = get_tracer()
         if not tracer.enabled:
-            yield from self._drive(tracer)
+            yield from self._drive()
             return
         with tracer.span(self.trace_name, parallel=self.parallel) as root:
             self._run_ctx = root.context
             try:
-                yield from self._drive(tracer)
+                yield from self._drive()
                 root.set(
                     pairs=self.stats.pairs,
                     batches=self.stats.batches,
@@ -411,7 +422,7 @@ class StreamPipeline:
             finally:
                 self._run_ctx = None
 
-    def _drive(self, tracer) -> Iterator[object]:
+    def _drive(self) -> Iterator[object]:
         st = self.stats
         reg = get_registry()
         if reg.enabled:
@@ -444,41 +455,32 @@ class StreamPipeline:
             ):
                 batch, fut = pending.popleft()
                 scores = fut.result()
-                t0 = time.perf_counter()
-                emitted = list(self.reducer.consume(batch, scores))
-                dt = time.perf_counter() - t0
-                st.stages["reduce"].add(dt, len(batch))
-                if tracer.enabled:
-                    tracer.record_span(
-                        self._span_names["reduce"], dt, batch=len(batch)
-                    )
+                with timed(self._span_names["reduce"], batch=len(batch)) as t:
+                    emitted = list(self.reducer.consume(batch, scores))
+                st.stages["reduce"].add(len(batch), t.seconds)
                 yield from emitted
 
+        # Source and batcher are counted, not timed: only this table would
+        # read their time, and the root span's self time already holds it.
         it = iter(self.source)
         while True:
-            t0 = time.perf_counter()
             try:
                 item = next(it)
             except StopIteration:
-                st.stages["source"].add(time.perf_counter() - t0, 0)
+                st.stages["source"].add(0)
                 break
-            st.stages["source"].add(time.perf_counter() - t0)
+            st.stages["source"].add()
             st.items_in += 1
             if self.prefilter is not None:
-                t0 = time.perf_counter()
-                requests = list(self.prefilter.expand(item))
-                dt = time.perf_counter() - t0
-                st.stages["prefilter"].add(dt, len(requests))
-                if tracer.enabled:
-                    tracer.record_span(
-                        self._span_names["prefilter"], dt, admitted=len(requests)
-                    )
+                with timed(self._span_names["prefilter"]) as t:
+                    requests = list(self.prefilter.expand(item))
+                    t.set(admitted=len(requests))
+                st.stages["prefilter"].add(len(requests), t.seconds)
             else:
                 requests = (item,)
             for req in requests:
-                t0 = time.perf_counter()
                 ready = list(self.batcher.add(req))
-                st.stages["batch"].add(time.perf_counter() - t0)
+                st.stages["batch"].add()
                 for batch in ready:
                     submit(batch)
                 # Budget check per admitted request, not per source item: a
@@ -497,9 +499,8 @@ class StreamPipeline:
         for batch in self.batcher.flush():
             submit(batch)
         yield from reduce_ready(drain_all=True)
-        t0 = time.perf_counter()
         tail = list(self.reducer.finalize())
-        st.stages["reduce"].add(time.perf_counter() - t0, 0)
+        st.stages["reduce"].add(0)
         yield from tail
         self._sync_prefilter()
         if base is not None:

@@ -53,12 +53,12 @@ def placement_rank(p: Placement) -> tuple:
 
 @dataclass
 class DedupStats:
-    """Accounting for one dedup pass (perf.report's dedup row)."""
+    """Counts of one dedup pass (perf.report's dedup rows); its time is
+    the ``map.dedup`` span."""
 
     offered: int = 0
     duplicates: int = 0  # collapsed into an already-seen placement
     kept: int = 0  # distinct placements that made the final top-K
-    seconds: float = 0.0
 
 
 class PlacementDedup:

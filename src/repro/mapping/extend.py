@@ -34,7 +34,6 @@ with full-window tie order, not across slices.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,7 +96,8 @@ def placement_key(p: Placement) -> tuple:
 
 @dataclass
 class ExtendStats:
-    """Accounting for one extension pass (perf.report's extend row)."""
+    """Counts of one extension pass (perf.report's extend rows); its
+    time is the ``map.extend`` span."""
 
     hits: int = 0
     banded: int = 0  # envelope slice accepted by the certificate
@@ -106,7 +106,6 @@ class ExtendStats:
     full: int = 0  # no envelope / full mode from the start
     cells_banded: int = 0
     cells_full: int = 0
-    seconds: float = 0.0
 
     @property
     def cells(self) -> int:
@@ -120,7 +119,6 @@ class ExtendStats:
         self.full += other.full
         self.cells_banded += other.cells_banded
         self.cells_full += other.cells_full
-        self.seconds += other.seconds
 
 
 def _result_to_placement(res, hit, query_id, strand, qlen, window_offset) -> Placement:
@@ -169,7 +167,6 @@ def extend_hit(
     qlen, wlen = int(q.size), int(w.size)
     stats = stats if stats is not None else ExtendStats()
     reg = get_registry()
-    t0 = time.perf_counter()
     stats.hits += 1
 
     meta = hit.meta or {}
@@ -202,7 +199,6 @@ def extend_hit(
         stats.cells_full += (qlen + 1) * (wlen + 1)
         if path == "full":
             stats.full += 1
-    stats.seconds += time.perf_counter() - t0
     if reg.enabled:
         reg.counter(
             "mapping_extend_total",

@@ -7,8 +7,10 @@ pipeline (seed prefilter → banded verify → bounded top-K) on **both
 strands**, the retained hits are extended to exact placements
 (:mod:`repro.mapping.extend`), and overlapping-window duplicates
 collapse under one deterministic total order
-(:mod:`repro.mapping.dedup`).  Per-stage stats land in the
-``perf.report`` format via :meth:`MappingResult.report`.
+(:mod:`repro.mapping.dedup`).  Per-stage counts land in the
+``perf.report`` format via :meth:`MappingResult.report`; stage times are
+read once, as the ``map.extend`` and ``map.dedup`` spans and the search
+pipeline's stage ledger.
 
 :func:`exhaustive_map` is the correctness oracle: full-DP scoring of
 *every* (oriented read, window) pair with the identical retention order,
@@ -26,7 +28,6 @@ it once, the worker pool once per shard.
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -150,12 +151,12 @@ def _oriented(enc_reads: list, cfg: MappingConfig) -> list:
 
 @dataclass
 class MappingResult:
-    """Placements per read plus per-stage accounting.
+    """Placements per read plus per-stage counts.
 
     ``placements[r]`` is read ``r``'s final list, best first under the
     dedup total order; :meth:`best` is the primary placement.  ``report``
     renders the search/extend/dedup stage table in the ``perf.report``
-    format.
+    format.  Times are not kept here: traced runs carry them as spans.
     """
 
     placements: list[list[Placement]]
@@ -164,7 +165,6 @@ class MappingResult:
     extend: ExtendStats
     dedup: DedupStats
     search_stats: object = None  # PipelineStats (None for the oracle)
-    seconds: float = 0.0
     oracle: bool = False
 
     def best(self, read_id: int) -> Placement | None:
@@ -286,7 +286,6 @@ def map_reads(
     the search stage retains the oracle's hit set (asserted on the
     read-mapping workloads in tests and the benchmark).
     """
-    t0 = time.perf_counter()
     cfg = resolve_config(config, **kwargs)
     enc_reads = _encode_reads(reads)
     tracer = get_tracer()
@@ -295,7 +294,6 @@ def map_reads(
             enc_reads, database, cfg, engine=engine
         )
         dd = DedupStats()
-        t_dedup = time.perf_counter()
         with tracer.span("map.dedup"):
             final = merge_mapped(
                 [per_read],
@@ -306,7 +304,6 @@ def map_reads(
                 min_score=cfg.search.min_score,
                 stats=dd,
             )
-        dd.seconds = time.perf_counter() - t_dedup
     result = MappingResult(
         placements=final,
         num_reads=len(enc_reads),
@@ -314,7 +311,6 @@ def map_reads(
         extend=ext,
         dedup=dd,
         search_stats=run_stats,
-        seconds=time.perf_counter() - t0,
     )
     reg = get_registry()
     if reg.enabled:
@@ -351,7 +347,6 @@ def exhaustive_map(
     the same dedup ranks the results.  Quadratic — the correctness
     referee and benchmark baseline, not a serving path.
     """
-    t0 = time.perf_counter()
     cfg = resolve_config(config, **kwargs)
     enc_reads = _encode_reads(reads)
     oriented = _oriented(enc_reads, cfg)
@@ -364,7 +359,6 @@ def exhaustive_map(
             config=cfg,
             extend=ExtendStats(),
             dedup=DedupStats(),
-            seconds=time.perf_counter() - t0,
             oracle=True,
         )
     qmax = max(q.size for q in oriented)
@@ -404,7 +398,6 @@ def exhaustive_map(
         extend=ext,
         dedup=dd,
         search_stats=None,
-        seconds=time.perf_counter() - t0,
         oracle=True,
     )
 

@@ -6,7 +6,8 @@ all cheap enough to ship in the serving path:
 * :mod:`repro.obs.trace` — a span tracer with ``contextvars`` ambient
   propagation, explicit carrier dicts for thread/process hops, a bounded
   ring collector, and Chrome ``trace_event`` export.  Off by default;
-  the disabled path allocates nothing.
+  the disabled path allocates nothing.  :class:`timed` times a region
+  once for its span, histogram and ledger alike.
 * :mod:`repro.obs.metrics` — a thread-safe registry of counters, gauges
   and fixed-bucket histograms with labeled series, snapshot/diff/merge
   composition across processes, and Prometheus/JSON export.  On by
@@ -71,6 +72,7 @@ from repro.obs.trace import (
     disable_tracing,
     enable_tracing,
     get_tracer,
+    timed,
     to_chrome_trace,
     validate_chrome_trace,
 )
@@ -108,6 +110,7 @@ __all__ = [
     "get_tracer",
     "pool_probe",
     "service_probe",
+    "timed",
     "to_chrome_trace",
     "validate_chrome_trace",
 ]

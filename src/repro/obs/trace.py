@@ -21,7 +21,9 @@ clocks and threads.  This module stitches them into **one trace**:
   (:class:`ClockOffset`);
 * **export** is Chrome ``trace_event`` JSON (:func:`to_chrome_trace`,
   loadable in Perfetto / ``chrome://tracing``) or the plain-text tree of
-  :func:`repro.perf.report.trace_tree`.
+  :func:`repro.perf.report.trace_tree`;
+* :class:`timed` is the one way instrumented code times a region: one
+  pair of clock reads feeds the span, a histogram and a ledger.
 
 Tracing is **off by default** and the disabled path is engineered to be
 free: ``tracer.span(...)`` returns a shared no-op context manager without
@@ -49,6 +51,7 @@ __all__ = [
     "get_tracer",
     "enable_tracing",
     "disable_tracing",
+    "timed",
     "to_chrome_trace",
     "validate_chrome_trace",
 ]
@@ -195,16 +198,24 @@ class _LiveSpan:
         return self
 
     def __exit__(self, exc_type, exc, tb):
+        self.close(exc_type)
+        return False
+
+    def close(self, exc_type=None, dur_s: float | None = None):
+        """Leave the span's context and finish it (see :meth:`finish`)."""
         if self._token is not None:
             _CURRENT.reset(self._token)
             self._token = None
         if exc_type is not None:
             self.set(error=exc_type.__name__)
-        self.finish()
-        return False
+        self.finish(dur_s)
 
-    def finish(self):
-        self.span.dur_us = (time.perf_counter() - self._t0) * 1e6
+    def finish(self, dur_s: float | None = None):
+        """Record the span; ``dur_s`` is a duration the caller measured
+        from this span's start, else the clock is read now."""
+        if dur_s is None:
+            dur_s = time.perf_counter() - self._t0
+        self.span.dur_us = dur_s * 1e6
         self._tracer._record(self.span)
 
 
@@ -324,11 +335,11 @@ class Tracer:
     ) -> Span | None:
         """Retro-record an already-measured interval as a finished span.
 
-        Instrumented hot paths that time themselves anyway (the stage
-        stats) call this after the fact so the disabled path pays zero
-        extra clock reads.  ``dur_s`` is seconds; ``start_wall`` is the
-        wall-clock start (defaults to now minus the duration).  Returns
-        the recorded span, or None when disabled.
+        ``dur_s`` is seconds; ``start_wall`` is the wall-clock start
+        (defaults to now minus the duration).  Returns the recorded span,
+        or None when disabled.  A region timed in this process should use
+        :class:`timed`, which feeds the span and the region's other
+        consumers from one clock reading.
         """
         if not self.enabled:
             return None
@@ -449,6 +460,49 @@ def enable_tracing(capacity: int | None = None) -> Tracer:
 def disable_tracing() -> Tracer:
     """Turn the default tracer off (retained spans stay exportable)."""
     return _GLOBAL.disable()
+
+
+class timed:
+    """Time one region once and feed every consumer from that reading.
+
+    ``with timed(name, hist=h, labels={...}, **attrs) as t:`` reads
+    ``perf_counter`` at entry and exit.  The duration becomes the span
+    ``name`` (when the default tracer is on; entered, so spans opened
+    inside nest under it), an observation of histogram ``hist`` under
+    ``labels`` (pass None while the registry is off), and ``t.seconds``
+    for a per-call ledger.  ``parent`` is as in :meth:`Tracer.span`;
+    :meth:`set` attaches span attributes from inside the region.
+    """
+
+    __slots__ = ("seconds", "_span", "_hist", "_labels", "_t0")
+
+    def __init__(self, name: str, *, hist=None, labels=None, parent=None, **attrs):
+        self._span = _LiveSpan(_GLOBAL, name, parent, attrs) if _GLOBAL.enabled else None
+        self._hist = hist
+        self._labels = labels
+        self.seconds = 0.0
+
+    def set(self, **attrs) -> "timed":
+        if self._span is not None:
+            self._span.set(**attrs)
+        return self
+
+    def __enter__(self) -> "timed":
+        span = self._span
+        if span is None:
+            self._t0 = time.perf_counter()
+        else:
+            span.__enter__()
+            self._t0 = span._t0
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.seconds = dt = time.perf_counter() - self._t0
+        if self._span is not None:
+            self._span.close(exc_type, dt)
+        if self._hist is not None:
+            self._hist.observe(dt, **(self._labels or {}))
+        return False
 
 
 # -- Chrome trace_event export ----------------------------------------------

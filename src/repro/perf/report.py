@@ -91,13 +91,15 @@ def cache_stats_table(plan_cache=None, engine=None) -> str:
 
 
 def pipeline_stats_table(stats, title: str = "Streaming pipeline", verify=None) -> str:
-    """Per-stage timing plus prefilter/band work-avoidance accounting.
+    """Per-stage counts and ledger time plus work-avoidance accounting.
 
     ``stats`` is a :class:`repro.engine.stages.PipelineStats`.  The first
-    table times each stage (source, prefilter, batch, execute, reduce);
-    the second summarises what the pipeline *did not* have to compute:
-    candidates rejected before DP, cells skipped by the prefilter, cells
-    skipped by banding, and the effective GCUPS over relaxed cells.
+    table counts each stage (source, prefilter, batch, execute, reduce)
+    and shows the ledger time of the timed ones (``-`` for the source and
+    batcher, which are counted only); the second summarises what the
+    pipeline *did not* have to compute: candidates rejected before DP,
+    cells skipped by the prefilter, cells skipped by banding, and the
+    effective GCUPS over relaxed cells.
 
     ``verify`` optionally passes the verify stage object; when it exposes
     ``path_stats()`` (e.g. :class:`repro.search.BandedVerifyStage`), a
@@ -108,10 +110,10 @@ def pipeline_stats_table(stats, title: str = "Streaming pipeline", verify=None) 
     for name, st in stats.stages.items():
         if st.calls == 0 and st.items == 0:
             continue
-        rate = f"{st.items / st.seconds:,.0f}" if st.seconds > 0 and st.items else "-"
-        stage_rows.append(
-            (name, st.calls, st.items, f"{st.seconds * 1e3:.1f}", rate)
-        )
+        timed = st.seconds > 0
+        rate = f"{st.items / st.seconds:,.0f}" if timed and st.items else "-"
+        ms = f"{st.seconds * 1e3:.1f}" if timed else "-"
+        stage_rows.append((name, st.calls, st.items, ms, rate))
     out = format_table(
         ("stage", "calls", "items", "ms", "items/s"), stage_rows, title=title
     )
@@ -165,10 +167,11 @@ def mapping_stats_table(result, title: str = "Read mapping") -> str:
     """Per-stage accounting for one :func:`repro.mapping.map_reads` run.
 
     ``result`` is a :class:`repro.mapping.MappingResult`.  The headline
-    table covers the mapping-specific stages — extension traceback path
+    table counts the mapping-specific stages — extension traceback path
     split (envelope slice vs full window) and dedup collapse — followed
     by the underlying search pipeline's own table when its stats were
-    kept (the oracle has none).
+    kept (the oracle has none).  Extension and dedup times are the
+    ``map.extend`` / ``map.dedup`` spans of a traced run.
     """
     ext, dd = result.extend, result.dedup
     rows = [
@@ -183,11 +186,8 @@ def mapping_stats_table(result, title: str = "Read mapping") -> str:
         ),
         ("extension: full-window", ext.full),
         ("traceback cells (banded / full)", f"{ext.cells_banded} / {ext.cells_full}"),
-        ("extension time (ms)", f"{ext.seconds * 1e3:.1f}"),
         ("dedup offered", dd.offered),
         ("dedup collapsed duplicates", dd.duplicates),
-        ("dedup time (ms)", f"{dd.seconds * 1e3:.1f}"),
-        ("total time (s)", f"{result.seconds:.3f}"),
         ("path", "exhaustive oracle" if result.oracle else "seed+extend"),
     ]
     out = format_table(("metric", "value"), rows, title=title)
@@ -240,14 +240,15 @@ def service_stats_table(service_or_stats, title: str = "Alignment service") -> s
 
 
 def shard_stats_table(run_stats, title: str = "Sharded search") -> str:
-    """Per-shard work/timing rows plus the parent-side merge accounting.
+    """Per-shard work rows plus the round's totals.
 
     ``run_stats`` is a :class:`repro.shard.stats.ShardRunStats`.  The
     per-shard rows show how evenly the round-robin chunk assignment spread
-    the work (chunks owned, pairs verified, cells relaxed) and where each
-    shard's time went (its own search wall time vs. how long its finished
-    result waited on the queue); the summary adds the phases only the
-    parent sees — process spawn, merge, end-to-end.
+    the work (chunks owned, pairs verified, cells relaxed); the summary
+    sums them and says whether resident workers served the round.  Where
+    the time went is in the spans (``worker.{op}``, ``pool.command``,
+    ``pool.merge``/``map.dedup``, ``pool.spawn``) and the
+    ``pool_shard_*`` metrics.
     """
     rows = [
         (
@@ -258,8 +259,6 @@ def shard_stats_table(run_stats, title: str = "Sharded search") -> str:
             w.pairs,
             w.cells_computed,
             w.hits,
-            f"{w.search_s * 1e3:.1f}",
-            f"{w.queue_wait_s * 1e3:.1f}",
         )
         for w in run_stats.workers
     ]
@@ -272,14 +271,11 @@ def shard_stats_table(run_stats, title: str = "Sharded search") -> str:
             "pairs",
             "cells",
             "hits",
-            "search ms",
-            "queue wait ms",
         ),
         rows,
         title=f"{title} ({run_stats.num_shards} shards)",
     )
     totals = run_stats.totals()
-    searches = [w.search_s for w in run_stats.workers]
     summary = format_table(
         ("metric", "value"),
         [
@@ -288,15 +284,8 @@ def shard_stats_table(run_stats, title: str = "Sharded search") -> str:
             ("pairs verified", totals["pairs"]),
             ("cells computed", totals["cells_computed"]),
             ("cells skipped", totals["cells_skipped"]),
-            ("shard search s (mean / max)",
-             f"{sum(searches) / len(searches):.3f} / {max(searches):.3f}"
-             if searches else "-"),
             ("served by", "warm resident workers" if run_stats.warm
              else "cold workers (spawned this run)"),
-            ("process spawn (ms)", f"{run_stats.spawn_s * 1e3:.1f}"),
-            ("reference attach (ms)", f"{run_stats.attach_s * 1e3:.2f}"),
-            ("merge (ms)", f"{run_stats.merge_s * 1e3:.1f}"),
-            ("end-to-end (s)", f"{run_stats.total_s:.3f}"),
         ],
         title="Run accounting",
     )
@@ -308,25 +297,22 @@ def pool_stats_table(pool_or_stats, title: str = "Shard worker pool") -> str:
 
     ``pool_or_stats`` is a :class:`repro.shard.pool.ShardWorkerPool` or
     its :class:`repro.shard.stats.PoolStats`.  The headline numbers are
-    the ones the pool exists for: how many searches were served warm (no
+    the ones the pool exists for: how many rounds were served warm (no
     spawn, no payload transfer) and how small the one-time shared-memory
-    publication + per-worker attach costs were relative to the spawn they
-    replace.
+    publication is.  Spawn and swap times are the ``pool.spawn`` /
+    ``pool.swap`` spans.
     """
     stats = getattr(pool_or_stats, "stats", pool_or_stats)
     snap = stats.snapshot()
     payload = snap["payload_bytes"]
     rows = [
         ("shards", snap["num_shards"]),
-        ("searches (warm / cold)",
+        ("command rounds (warm / cold)",
          f"{snap['searches']} ({snap['warm_searches']} / {snap['cold_searches']})"),
         ("reference swaps", snap["swaps"]),
         ("worker spawns (respawns)", f"{snap['spawns']} ({snap['respawns']})"),
-        ("spawn time total (s)", f"{snap['spawn_s']:.3f}"),
-        ("swap time total (ms)", f"{snap['swap_s'] * 1e3:.1f}"),
         ("payload transport", snap["transport"]),
         ("published payload (bytes)", payload),
-        ("worker attach max (ms)", f"{snap['attach_max_s'] * 1e3:.2f}"),
     ]
     out = format_table(("metric", "value"), rows, title=title)
     if snap["last_run"] is not None and stats.last_run is not None:

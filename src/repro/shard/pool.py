@@ -289,20 +289,15 @@ class ShardWorkerPool:
                         self.stats.transport = "pickle"
                 else:
                     self.stats.transport = "pickle"
-                t0 = time.perf_counter()
                 self._result_q = self._ctx.Queue()
                 self._cmd_qs = [None] * self.num_shards
                 self._procs = [None] * self.num_shards
-                for shard_id in range(self.num_shards):
-                    self._spawn(shard_id)
-                self._await_ready(range(self.num_shards))
+                self._spawn_all()
             except BaseException:
                 # A failed start must not leak workers or the /dev/shm
                 # entry; the pool is closed, the caller may build a new one.
                 self.close()
                 raise
-            self._last_spawn_s = time.perf_counter() - t0
-            self.stats.spawn_s += self._last_spawn_s
             self._cold_pending = True
             self._started = True
             return self
@@ -367,7 +362,6 @@ class ShardWorkerPool:
         Either way, through the command protocol, every worker's spans
         stitch into the caller's trace.
         """
-        t_run = time.perf_counter()
         enc_queries, qmax = _encode_all(
             queries, "sharded search needs at least one query"
         )
@@ -383,7 +377,7 @@ class ShardWorkerPool:
                 return reducer.results()
 
         return self._round(
-            "search", enc_queries, search_cfg, None, merge, t_run, timeout, carrier
+            "search", enc_queries, search_cfg, None, merge, timeout, carrier
         )
 
     def map_topk(
@@ -412,7 +406,6 @@ class ShardWorkerPool:
         """
         from repro.mapping import merge_mapped, resolve_config
 
-        t_run = time.perf_counter()
         enc_reads, qmax = _encode_all(reads, "pool mapping needs at least one read")
         cfg = resolve_config(config, **overrides)
         search_cfg = replace(cfg.search, hit_window=True).resolved_for(qmax)
@@ -430,12 +423,10 @@ class ShardWorkerPool:
                 )
 
         return self._round(
-            "map", enc_reads, search_cfg, map_cfg, merge, t_run, timeout, carrier
+            "map", enc_reads, search_cfg, map_cfg, merge, timeout, carrier
         )
 
-    def _round(
-        self, op, enc_queries, search_cfg, map_cfg, merge, t_run, timeout, carrier
-    ):
+    def _round(self, op, enc_queries, search_cfg, map_cfg, merge, timeout, carrier):
         """One command round: dispatch ``op`` to every shard, merge, account.
 
         ``search_cfg`` is resolved for the query set; it (and ``map_cfg``
@@ -460,12 +451,7 @@ class ShardWorkerPool:
         ) as sp, self._lock:
             cold = self._ensure_workers() or self._cold_pending
             self._cold_pending = False
-            run = ShardRunStats(
-                num_shards=self.num_shards,
-                warm=not cold,
-                spawn_s=self._last_spawn_s if cold else 0.0,
-                attach_s=max(self.stats.worker_attach_s.values(), default=0.0),
-            )
+            run = ShardRunStats(num_shards=self.num_shards, warm=not cold)
             seq = self._next_seq()
             deadline = self._deadline(timeout)
             # Workers trace under the round span's position, shipped as a
@@ -476,10 +462,7 @@ class ShardWorkerPool:
             )
             for _, ws in messages:
                 run.add(ws)
-            t0 = time.perf_counter()
             merged = merge([results for results, _ in messages])
-            run.merge_s = time.perf_counter() - t0
-            run.total_s = time.perf_counter() - t_run
             self.stats.searches += 1
             if run.warm:
                 self.stats.warm_searches += 1
@@ -511,58 +494,59 @@ class ShardWorkerPool:
                 self.start(database)
                 return
             self._ensure_workers()
-            t0 = time.perf_counter()
-            payloads, segment, fingerprint = build_pool_payloads(database, self.plan)
-            seq = self._next_seq()
-            for shard_id in range(self.num_shards):
-                self._cmd_qs[shard_id].put(("swap", seq, payloads[shard_id]))
-            try:
-                # Collect one reply per shard *before* judging the swap:
-                # a worker that failed must not abort the wait while its
-                # siblings are still mid-reply, because the failure path
-                # terminates them — and killing a worker whose queue
-                # feeder holds the result queue's shared write lock
-                # wedges the queue for every respawned worker.  Once all
-                # replies landed, every live worker is idle.
-                acks = self._collect(
-                    "swapped",
-                    seq,
-                    set(range(self.num_shards)),
-                    self._deadline(None),
-                    collect_errors=True,
-                )
-                for shard_id, msg in sorted(acks.items()):
-                    if msg[0] == "error":
-                        raise ShardWorkerError(
-                            f"shard {shard_id} worker raised:\n{msg[3]}"
-                        )
-            except BaseException:
-                # Swap failed: workers that already acked sit on the new
-                # reference while the pool (and any erroring worker)
-                # keeps the old one.  Break the pool so the next call
-                # respawns every worker onto the still-intact old
-                # payloads — a mixed-reference pool would silently merge
-                # results from two different references.  Only then drop
-                # the uncommitted new segment (no worker maps it anymore).
-                self._break()
-                if segment is not None:
-                    segment.destroy()
-                raise
-            old, self._segment = self._segment, segment
-            self._payloads, self._fingerprint = payloads, fingerprint
-            if old is not None:
-                old.destroy()  # every worker has detached: safe to unlink
-            for shard_id, msg in acks.items():
-                self.stats.worker_attach_s[shard_id] = msg[3]
-            self.stats.payload_bytes = segment.meta.size if segment else 0
-            self.stats.transport = "shared_memory" if segment else "pickle"
-            self.stats.swaps += 1
-            self.stats.swap_s += time.perf_counter() - t0
+            with get_tracer().span("pool.swap", shards=self.num_shards):
+                self._swap(database)
             reg = get_registry()
             if reg.enabled:
                 reg.counter(
                     "pool_swaps_total", "Online reference swaps committed"
                 ).inc()
+
+    def _swap(self, database) -> None:
+        """Publish, flip every worker, then unlink the old segment."""
+        payloads, segment, fingerprint = build_pool_payloads(database, self.plan)
+        seq = self._next_seq()
+        for shard_id in range(self.num_shards):
+            self._cmd_qs[shard_id].put(("swap", seq, payloads[shard_id]))
+        try:
+            # Collect one reply per shard *before* judging the swap:
+            # a worker that failed must not abort the wait while its
+            # siblings are still mid-reply, because the failure path
+            # terminates them — and killing a worker whose queue
+            # feeder holds the result queue's shared write lock
+            # wedges the queue for every respawned worker.  Once all
+            # replies landed, every live worker is idle.
+            acks = self._collect(
+                "swapped",
+                seq,
+                set(range(self.num_shards)),
+                self._deadline(None),
+                collect_errors=True,
+            )
+            for shard_id, msg in sorted(acks.items()):
+                if msg[0] == "error":
+                    raise ShardWorkerError(
+                        f"shard {shard_id} worker raised:\n{msg[3]}"
+                    )
+        except BaseException:
+            # Swap failed: workers that already acked sit on the new
+            # reference while the pool (and any erroring worker)
+            # keeps the old one.  Break the pool so the next call
+            # respawns every worker onto the still-intact old
+            # payloads — a mixed-reference pool would silently merge
+            # results from two different references.  Only then drop
+            # the uncommitted new segment (no worker maps it anymore).
+            self._break()
+            if segment is not None:
+                segment.destroy()
+            raise
+        old, self._segment = self._segment, segment
+        self._payloads, self._fingerprint = payloads, fingerprint
+        if old is not None:
+            old.destroy()  # every worker has detached: safe to unlink
+        self.stats.payload_bytes = segment.meta.size if segment else 0
+        self.stats.transport = "shared_memory" if segment else "pickle"
+        self.stats.swaps += 1
 
     def ping(self, *, timeout: float | None = None) -> list[float]:
         """Round-trip every worker; returns per-shard latencies (seconds).
@@ -625,8 +609,6 @@ class ShardWorkerPool:
         return pool_stats_table(self)
 
     # -- internals -----------------------------------------------------------
-    _last_spawn_s = 0.0
-
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
@@ -651,19 +633,19 @@ class ShardWorkerPool:
         proc.start()
         self.stats.spawns += 1
 
-    def _await_ready(self, shard_ids) -> None:
-        ready = self._collect("ready", -1, set(shard_ids), self._deadline(None))
+    def _spawn_all(self) -> None:
+        """Start every worker and wait for each to attach and report ready."""
+        shards = range(self.num_shards)
+        with get_tracer().span("pool.spawn", shards=self.num_shards):
+            for shard_id in shards:
+                self._spawn(shard_id)
+            ready = self._collect("ready", -1, set(shards), self._deadline(None))
         reg = get_registry()
-        alive = (
-            reg.gauge(
+        if reg.enabled:
+            alive = reg.gauge(
                 "pool_shard_alive", "1 while the shard worker is up", labels=("shard",)
             )
-            if reg.enabled
-            else None
-        )
-        for shard_id, msg in ready.items():
-            self.stats.record_ready(shard_id, msg[3])
-            if alive is not None:
+            for shard_id in ready:
                 alive.set(1, shard=shard_id)
 
     def _ensure_workers(self) -> bool:
@@ -689,12 +671,7 @@ class ShardWorkerPool:
         self._broken = False
         self._result_q.close()
         self._result_q = self._ctx.Queue()
-        t0 = time.perf_counter()
-        for shard_id in range(self.num_shards):
-            self._spawn(shard_id)
-        self._await_ready(range(self.num_shards))
-        self._last_spawn_s = time.perf_counter() - t0
-        self.stats.spawn_s += self._last_spawn_s
+        self._spawn_all()
         self.stats.respawns += self.num_shards
         self._clock_offsets.clear()  # fresh workers, fresh clocks
         reg = get_registry()
@@ -840,11 +817,6 @@ class ShardWorkerPool:
         reg = get_registry()
         rt_spans: dict = {}  # shard_id → open command round-trip span
         if reg.enabled:
-            search_hist = reg.histogram(
-                "pool_shard_search_seconds",
-                "Per-shard wall time of one SEARCH command",
-                labels=("shard",),
-            )
             wait_gauge = reg.gauge(
                 "pool_shard_queue_wait_seconds",
                 "Reply-queue dwell of the shard's last result",
@@ -882,7 +854,10 @@ class ShardWorkerPool:
                 continue
             _, shard_id, _, results, ws, done_ts = msg[:6]
             obs = msg[6] if len(msg) > 6 else None
-            ws.queue_wait_s = max(0.0, time.monotonic() - done_ts)
+            # CLOCK_MONOTONIC is system-wide, so the worker's reply stamp
+            # compares across processes on one host: transfer plus time
+            # spent behind other shards' results.
+            wait = max(0.0, time.monotonic() - done_ts)
             if obs is not None:
                 if obs.get("metrics") and reg.enabled:
                     reg.merge(obs["metrics"])
@@ -892,10 +867,9 @@ class ShardWorkerPool:
                     )
             rt = rt_spans.pop(shard_id, None)
             if rt is not None:
-                rt.set(queue_wait_s=round(ws.queue_wait_s, 6)).finish()
+                rt.set(queue_wait_s=round(wait, 6)).finish()
             if reg.enabled:
-                search_hist.observe(ws.search_s, shard=shard_id)
-                wait_gauge.set(ws.queue_wait_s, shard=shard_id)
+                wait_gauge.set(wait, shard=shard_id)
             messages[shard_id] = (results, ws)
             inflight.discard(shard_id)
         return [messages[i] for i in sorted(messages)]

@@ -11,8 +11,7 @@ Startup: the worker builds its engine **once**, attaches its payload (for
 :class:`~repro.shard.plan.SharedRecordPayload` this maps the published
 shared-memory segment and builds zero-copy record views — after the
 engine, so a bad engine config never dies holding live views), and
-reports ``("ready", shard_id, -1, {"attach_s": seconds}, ts)``.  It
-then blocks on the command queue and services commands until told to
+reports ``("ready", shard_id, -1, ts)``.  It then blocks on the command queue and services commands until told to
 stop — the whole point: spawn + attach + engine build are paid once and
 amortized over every subsequent search.
 
@@ -23,7 +22,10 @@ k-mers' hits, each hit is mapped onto the command's windows, and only
 windows this shard owns (``shard_of(id)``) holding at least ``min_seeds``
 hits get seed tables, those admitting a query are verified, and the rest
 are counted arithmetically.  The view dies with the command, so no view of the
-segment outlives it.
+segment outlives it.  The command is one :class:`repro.obs.timed` region,
+view build included: the ``worker.{op}`` span when traced, and one
+``pool_shard_search_seconds{shard}`` observation, which reaches the
+parent in the reply's metrics delta.
 
 Command protocol (parent → worker on the per-worker command queue; every
 reply carries ``(tag, shard_id, seq, ..., done_ts)`` on the shared result
@@ -52,8 +54,8 @@ gauges) and its wall clock (``obs["wall"]``).
 
 Control commands:
 
-* ``("swap", seq, payload)`` → ``("swapped", shard_id, seq, attach_s,
-  ts)`` — attach the new reference payload, then drop the old attachment;
+* ``("swap", seq, payload)`` → ``("swapped", shard_id, seq, ts)`` —
+  attach the new reference payload, then drop the old attachment;
   queries never observe a half-swapped state because the flip happens
   between commands, and the parent unlinks the old segment only after
   every worker has acknowledged.
@@ -76,6 +78,7 @@ import time
 import traceback
 from dataclasses import replace
 
+from repro.obs import MetricsRegistry, get_registry, get_tracer, timed
 from repro.search.pipeline import search
 from repro.shard.plan import ShardPlan
 from repro.shard.stats import ShardWorkerStats
@@ -110,7 +113,7 @@ def shard_engine_workers(plan: ShardPlan) -> int | None:
 
 
 def _attach(payload):
-    """Resolve a payload to its worker-resident form (timed by callers).
+    """Resolve a payload to its worker-resident form.
 
     Shared-memory payloads attach and return a resident view holder;
     plain pickled payloads (chunk lists, test doubles) are already
@@ -134,11 +137,25 @@ def _work(resident, engine, plan: ShardPlan, shard_id: int, tracer, cmd):
     one rebinds it.
     """
     op, _, enc_queries, search_cfg, map_cfg, carrier = cmd
-    t0 = time.perf_counter()
-    source = resident.shard_view(replace(plan, search=search_cfg), shard_id)
-    with tracer.activate(carrier), tracer.span(
-        f"worker.{op}", shard=shard_id, queries=len(enc_queries)
+    reg = get_registry()
+    hist = (
+        reg.histogram(
+            "pool_shard_search_seconds",
+            "Per-shard wall time of one search or map command, shard view "
+            "build included",
+            labels=("shard",),
+        )
+        if reg.enabled
+        else None
+    )
+    with tracer.activate(carrier), timed(
+        f"worker.{op}",
+        hist=hist,
+        labels={"shard": shard_id},
+        shard=shard_id,
+        queries=len(enc_queries),
     ):
+        source = resident.shard_view(replace(plan, search=search_cfg), shard_id)
         if op == "map":
             # The full per-shard mapping stage: both-strand search + exact
             # extension, NO dedup — the parent's merge replays the global
@@ -155,10 +172,7 @@ def _work(resident, engine, plan: ShardPlan, shard_id: int, tracer, cmd):
             results = run.topk()
             pstats = run.stats
             count = sum(len(hits) for hits in results)
-    stats = ShardWorkerStats.from_pipeline(
-        shard_id, pstats, hits=count, search_s=time.perf_counter() - t0
-    )
-    return results, stats
+    return results, ShardWorkerStats.from_pipeline(shard_id, pstats, hits=count)
 
 
 def run_pool_worker(plan: ShardPlan, shard_id: int, payload, cmd_q, out_q) -> None:
@@ -170,9 +184,7 @@ def run_pool_worker(plan: ShardPlan, shard_id: int, payload, cmd_q, out_q) -> No
         # exported views can't unmap cleanly and whines at shutdown).
         scheme = plan.search.resolved_scheme()
         engine = plan.engine.build(scheme, max_workers=shard_engine_workers(plan))
-        t0 = time.perf_counter()
         resident = _attach(payload)
-        attach_s = time.perf_counter() - t0
     except BaseException:
         out_q.put(("error", shard_id, -1, traceback.format_exc(), time.monotonic()))
         if resident is not None:
@@ -180,9 +192,7 @@ def run_pool_worker(plan: ShardPlan, shard_id: int, payload, cmd_q, out_q) -> No
         if engine is not None:
             engine.close()
         return
-    out_q.put(("ready", shard_id, -1, {"attach_s": attach_s}, time.monotonic()))
-    from repro.obs import MetricsRegistry, get_registry, get_tracer
-
+    out_q.put(("ready", shard_id, -1, time.monotonic()))
     tracer = get_tracer()
     tracer.process = f"shard-{shard_id}"
     # A forked child inherits the parent's tracer state; shipping those
@@ -201,19 +211,10 @@ def run_pool_worker(plan: ShardPlan, shard_id: int, payload, cmd_q, out_q) -> No
                 if op == "ping":
                     out_q.put(("pong", shard_id, seq, time.monotonic(), time.time()))
                 elif op == "swap":
-                    t0 = time.perf_counter()
                     fresh = _attach(cmd[2])
                     old, resident = resident, fresh
                     _detach(old)
-                    out_q.put(
-                        (
-                            "swapped",
-                            shard_id,
-                            seq,
-                            time.perf_counter() - t0,
-                            time.monotonic(),
-                        )
-                    )
+                    out_q.put(("swapped", shard_id, seq, time.monotonic()))
                 elif op in ("search", "map"):
                     carrier = cmd[5]
                     if carrier is not None:

@@ -8,12 +8,14 @@ scored through ``rescore_alignment`` (which knows nothing about DP).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
 
 from repro.core.scoring import rescore_alignment
 from repro.core.types import AlignmentScheme, AlignmentType, Scoring
+from repro.obs import disable_tracing, enable_tracing
 from repro.util.encoding import decode, encode
 
 
@@ -127,3 +129,17 @@ def hit_keys(per_query):
         [(h.record, h.start, h.end, h.score, h.chunk_id, h.seeds) for h in hits]
         for hits in per_query
     ]
+
+
+@contextmanager
+def traced_spans():
+    """Trace the block with the global tracer; the yielded list receives
+    the spans it finished (the tracer is off and empty afterwards)."""
+    tracer = enable_tracing(capacity=16384)
+    tracer.clear()
+    spans: list = []
+    try:
+        yield spans
+    finally:
+        disable_tracing()
+        spans.extend(tracer.drain())

@@ -29,6 +29,7 @@ from repro.obs import (
     enable_tracing,
     get_registry,
     get_tracer,
+    timed,
     to_chrome_trace,
     validate_chrome_trace,
 )
@@ -37,6 +38,7 @@ from repro.perf.report import trace_tree
 from repro.search import SearchConfig, search
 from repro.shard import ShardPlan, ShardWorkerPool
 from repro.util.checks import ValidationError
+from repro.workloads.reads import read_pairs
 
 from helpers import hit_keys, planted_instance
 
@@ -147,6 +149,27 @@ class TestTracer:
         # start defaults to now - duration: it ends by roughly "now".
         end_us = spans["timed"].start_us + spans["timed"].dur_us
         assert abs(end_us - spans["root"].start_us) < 5e6
+
+    def test_timed_feeds_span_histogram_and_seconds(self, global_obs):
+        h = MetricsRegistry().histogram("region_seconds", labels=("k",))
+        with timed("region", hist=h, labels={"k": "a"}, n=1) as t:
+            with global_obs.span("inner"):
+                pass
+            t.set(m=2)
+        spans = {s.name: s for s in global_obs.spans()}
+        assert spans["inner"].parent_id == spans["region"].span_id
+        assert spans["region"].attrs == {"n": 1, "m": 2}
+        # One reading feeds all three.
+        assert t.seconds > 0
+        assert spans["region"].dur_us == t.seconds * 1e6
+        assert h.value(k="a")["sum"] == t.seconds
+        assert h.value(k="a")["count"] == 1
+
+    def test_timed_without_tracing_still_times(self):
+        assert not get_tracer().enabled
+        with timed("quiet") as t:
+            pass
+        assert t.seconds > 0 and get_tracer().spans() == []
 
     def test_exception_stamps_error_attr(self, tracer):
         with pytest.raises(RuntimeError):
@@ -496,6 +519,43 @@ class TestPoolPropagation:
         with ShardWorkerPool(ref, plan=_plan(k=3), timeout=120) as pool:
             pool.search_topk(queries)
         assert global_obs.spans() == []
+
+
+# -- one clock: every timed region is read once ------------------------------
+class TestOneClock:
+    def test_pool_map_round_observes_each_shard_once(self, global_obs):
+        """The shard histogram and the worker span are the same reading."""
+        rs = read_pairs(4, read_length=60, reference_length=6000, seed=77)
+        reads = [rs.reads[i] for i in range(len(rs))]
+        reg = get_registry()
+        with ShardWorkerPool(rs.reference, plan=_plan(), timeout=120) as pool:
+            pool.start()
+            global_obs.clear()
+            before = reg.snapshot()
+            pool.map_topk(reads, min_score=90)
+            delta = MetricsRegistry.diff(before, reg.snapshot())
+        series = delta["pool_shard_search_seconds"]["series"]
+        workers = {
+            s.attrs["shard"]: s for s in global_obs.spans() if s.name == "worker.map"
+        }
+        assert sorted(workers) == [0, 1]
+        for shard, span in workers.items():
+            observed = series[(str(shard),)]
+            assert observed["count"] == 1
+            assert observed["sum"] * 1e6 == pytest.approx(span.dur_us, abs=1.0)
+
+    def test_search_verify_histogram_matches_spans(self, global_obs):
+        ref, queries, _ = planted_instance(6000, 3, 60, seed=78)
+        reg = get_registry()
+        before = reg.snapshot()
+        search(queries, ref, k=3, window=120, overlap=76).topk()
+        delta = MetricsRegistry.diff(before, reg.snapshot())
+        observed = delta["pipeline_stage_seconds"]["series"][("search", "verify")]
+        verifies = [s for s in global_obs.spans() if s.name == "verify"]
+        assert observed["count"] == len(verifies) > 0
+        assert observed["sum"] * 1e6 == pytest.approx(
+            sum(s.dur_us for s in verifies), abs=1.0
+        )
 
 
 # -- Prometheus text-format conformance --------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.engine import EngineConfig, ExecutionEngine
+from repro.obs import get_registry
 from repro.obs.slo import SLObjective
 from repro.perf import shard_stats_table
 from repro.search import (
@@ -42,7 +43,7 @@ from repro.workloads import (
 
 
 from helpers import hit_keys as _hit_keys
-from helpers import planted_instance
+from helpers import planted_instance, traced_spans
 
 
 def _planted_instance(ref_len, count, qlen, seed, divergence=0.02):
@@ -256,14 +257,21 @@ class TestShardedSearch:
         """Acceptance: 4 spawn workers return the single-process hit set."""
         ref, queries = _planted_instance(30000, 8, 100, seed=21)
         single = search_topk(queries, ref, k=5)
-        with ShardWorkerPool(ref, num_shards=4, k=5, timeout=300) as pool:
-            assert pool.plan.start_method == "spawn"
-            got = pool.search_topk(queries)
-            stats = pool.stats.last_run
+        with traced_spans() as spans:
+            with ShardWorkerPool(ref, num_shards=4, k=5, timeout=300) as pool:
+                assert pool.plan.start_method == "spawn"
+                got = pool.search_topk(queries)
+                stats = pool.stats.last_run
         assert _hit_keys(got) == _hit_keys(single)
         assert len(stats.workers) == 4
         assert stats.totals()["pairs"] > 0
-        assert all(w.queue_wait_s >= 0.0 for w in stats.workers)
+        # Each shard's reply-queue dwell: a pool.command span attribute and
+        # the per-shard gauge.
+        commands = [s for s in spans if s.name == "pool.command"]
+        assert sorted(s.attrs["shard"] for s in commands) == [0, 1, 2, 3]
+        assert all(s.attrs["queue_wait_s"] >= 0.0 for s in commands)
+        wait = get_registry().get("pool_shard_queue_wait_seconds").series()
+        assert all(wait[(str(i),)] >= 0.0 for i in range(4))
         assert "Sharded search (4 shards)" in shard_stats_table(stats)
 
     def test_single_shard_degenerate(self):

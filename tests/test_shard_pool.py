@@ -46,7 +46,7 @@ from repro.util.encoding import encode
 from repro.workloads import FastaRecord, chunk_sequence, random_genome
 from repro.workloads.reads import read_pairs
 
-from helpers import hit_keys, planted_instance
+from helpers import hit_keys, planted_instance, traced_spans
 
 
 def _shm_entries():
@@ -282,12 +282,17 @@ class TestPoolLifecycle:
 
     def test_one_shot_pool_tears_down(self):
         ref, queries, _ = planted_instance(6000, 2, 80, seed=68)
-        with ShardWorkerPool(ref, plan=_plan(k=3), timeout=120) as pool:
-            got = pool.search_topk(queries)
+        with traced_spans() as spans:
+            with ShardWorkerPool(ref, plan=_plan(k=3), timeout=120) as pool:
+                got = pool.search_topk(queries)
         assert pool.closed and pool.liveness() is None  # nothing resident
         assert not _shm_entries()
         assert hit_keys(got) == hit_keys(search_topk(queries, ref, k=3))
-        assert pool.stats.last_run.warm is False and pool.stats.last_run.spawn_s > 0
+        assert pool.stats.last_run.warm is False
+        # The lazy start paid the spawn inside the round, as one region.
+        (round_span,) = [s for s in spans if s.name == "pool.search_topk"]
+        (spawn,) = [s for s in spans if s.name == "pool.spawn"]
+        assert spawn.parent_id == round_span.span_id and spawn.dur_us > 0
 
     def test_ping_and_report(self):
         ref, _, _ = planted_instance(4000, 2, 80, seed=59)
