@@ -35,12 +35,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.backend import INLINE_BACKENDS as _INLINE
+from repro.core.backend import LANE_TRACEBACK
 from repro.core.kernels import fill_matrix, score_lanes, score_rowscan
 from repro.core.recurrence import align_reference, score_reference
 from repro.core.scoring import default_scheme
 from repro.core.traceback import (
     DEFAULT_BLOCK_CUTOFF,
     align_linear_space,
+    align_pairs,
 )
 from repro.core.types import AlignmentResult, AlignmentScheme
 from repro.util.checks import ValidationError, check_in
@@ -226,10 +228,35 @@ class Aligner:
         return out
 
     def align_batch(self, queries, subjects) -> list[AlignmentResult]:
-        """Full alignments for many pairs (sequential linear-space runs)."""
+        """Full alignments for many pairs, each equal to :meth:`align`.
+
+        Pairs an inline strategy traces run as lane-stack tracebacks
+        (:func:`~repro.core.traceback.align_pairs`); the rest align one by
+        one through their backend.
+        """
         if len(queries) != len(subjects):
             raise ValidationError("queries and subjects must pair up")
-        return [self.align(q, s) for q, s in zip(queries, subjects)]
+        enc_q = [encode(q) for q in queries]
+        enc_s = [encode(s) for s in subjects]
+        lane = [
+            k
+            for k, (q, s) in enumerate(zip(enc_q, enc_s))
+            if self._pick(pairs=1, extent=max(q.size, s.size), need_traceback=True)
+            in LANE_TRACEBACK
+        ]
+        out: list = [None] * len(enc_q)
+        traced = align_pairs(
+            [enc_q[k] for k in lane],
+            [enc_s[k] for k in lane],
+            self.scheme,
+            cutoff=self.traceback_cutoff,
+        )
+        for k, res in zip(lane, traced):
+            out[k] = res
+        return [
+            res if res is not None else self.align(q, s)
+            for res, q, s in zip(out, enc_q, enc_s)
+        ]
 
     def __repr__(self):
         at = self.scheme.alignment_type.value

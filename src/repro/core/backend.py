@@ -39,11 +39,16 @@ __all__ = [
     "ensure_backends_registered",
     "select_backend",
     "INLINE_BACKENDS",
+    "LANE_TRACEBACK",
 ]
 
 
 #: Names handled by :class:`Aligner` itself (staged-kernel strategies).
 INLINE_BACKENDS = frozenset({"rowscan", "scalar", "reference"})
+
+#: Inline strategies whose alignments are the lane-stack traceback of
+#: :mod:`repro.core.traceback` (``reference`` keeps its loop oracle).
+LANE_TRACEBACK = INLINE_BACKENDS - {"reference"}
 
 #: Extent above which a single pair is worth the tiled multi-threaded path.
 LONG_PAIR_EXTENT = 4096

@@ -1,10 +1,14 @@
-"""Alignment reconstruction in linear space (paper §III-A, Hirschberg [24]).
+"""Alignment reconstruction: block traceback, linear-space recursion, lanes.
 
 Score-only alignment runs in O(min(n,m)) space; reconstructing the actual
-alignment would need the full O(n·m) matrix, which is prohibitive for long
-DNA.  This module implements the divide-and-conquer traceback the paper
-uses: recursively find optimal midpoints of the DP matrix (at the cost of at
-most doubling the number of relaxed cells).
+alignment needs the moves of the whole DP matrix.  Segments of at most
+``cutoff`` DP cells (:data:`DEFAULT_BLOCK_CUTOFF`, enough for read-scale
+problems such as 150 × 300) are solved as one *block*: one fill storing a
+uint8 move flag per cell (:func:`repro.core.blockdp.fill_block`), then one
+walk from the end cell.  Larger segments — long genomes — use the
+divide-and-conquer traceback of the paper (§III-A, Hirschberg [24]):
+recursively find optimal midpoints of the DP matrix (at the cost of at most
+doubling the number of relaxed cells) until the pieces fit the cutoff.
 
 * linear gap models: classic Hirschberg midpoint recursion;
 * affine gap models: Myers–Miller — the midpoint candidates include a
@@ -17,7 +21,17 @@ most doubling the number of relaxed cells).
   because optimal local/semi-global alignments never begin or end inside a
   gap (trimming a boundary gap never lowers the score).
 
-Walker note: ``fill_block`` stores F in scan form, F(i,j) = max over k<j of
+**Lanes.** :func:`align_lanes` aligns L pairs as one lane stack, the way
+the score kernels relax many pairs at once: the forward sweep, the
+reversed-prefix sweep and the block fill each relax every lane in one pass
+(lanes of different extents are padded at the end, which no cell inside a
+lane's extents can see); only the walk is per lane.  A single pair is the
+``L = 1`` case — :func:`align_linear_space` is exactly that call — so a
+lane's result equals the single-pair alignment with the same cutoff,
+co-optimal tie order included.  Segments above the cutoff leave the stack
+for the per-pair recursion.
+
+Walker note: the fill keeps F in scan form, F(i,j) = max over k<j of
 H′(i,k)+open+(j−k)·extend where H′ excludes F itself.  Whenever the textbook
 open-branch equality fails because H(i,j−1) came from F, the extension
 branch F(i,j−1)+extend is at least as good (open ≤ 0), so the walker always
@@ -28,115 +42,159 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.blockdp import fill_block, sweep_best, sweep_last_rows
-from repro.core.types import (
-    NEG_INF,
-    AlignmentResult,
-    AlignmentScheme,
-    AlignmentType,
-    Scoring,
+from repro.core.blockdp import (
+    DIAG,
+    E_CLOSE,
+    E_STAY,
+    F_CLOSE,
+    F_STAY,
+    H_E,
+    H_F,
+    LEFT,
+    UP,
+    fill_block,
+    sweep_best,
+    sweep_last_rows,
 )
+from repro.core.types import AlignmentResult, AlignmentScheme, AlignmentType, Scoring
 from repro.core.scoring import global_scheme
 from repro.util.checks import ValidationError, check_sequence
-from repro.util.encoding import decode
+from repro.util.encoding import CODE_TO_CHAR
 
-__all__ = ["align_block", "align_linear_space", "DEFAULT_BLOCK_CUTOFF"]
+__all__ = [
+    "align_block",
+    "align_lanes",
+    "align_linear_space",
+    "align_pairs",
+    "DEFAULT_BLOCK_CUTOFF",
+    "LANES",
+]
 
-#: Below this many DP cells a block is solved by full-matrix fill + walk.
-DEFAULT_BLOCK_CUTOFF = 4096
+#: Up to this many DP cells a segment is solved by one block fill + walk;
+#: larger segments recurse (Hirschberg / Myers–Miller) down to it.
+DEFAULT_BLOCK_CUTOFF = 1 << 16
+
+#: Lane-stack width :func:`align_pairs` fills (the engine's default lanes).
+LANES = 64
 
 _ST_H, _ST_E, _ST_F = 0, 1, 2
 
-# Traceback edit operations: (query_consumed, subject_consumed).
-_DIAG, _UP, _LEFT = (1, 1), (1, 0), (0, 1)
+# Traceback edit operations.
+_OP_DIAG, _OP_UP, _OP_LEFT = 0, 1, 2
+
+_GAP = np.uint8(ord("-"))
 
 
-def _walk_block(H, E, F, q, s, scoring: Scoring, start_state: int) -> list:
-    """Walk a global block from its bottom-right corner to (0, 0).
+def _walk_block(flags: bytes, stride: int, n: int, m: int, affine: bool, start_state: int) -> list:
+    """Walk one lane's move flags from ``(n, m)`` back to ``(0, 0)``.
 
-    Returns edit ops in forward order.  ``start_state`` lets Myers–Miller
-    enter mid-gap (E state) when a vertical gap crosses the block boundary.
+    ``flags`` is the lane's flattened ``fill_block`` output (row stride
+    ``stride``).  Returns edit ops in forward order.  ``start_state`` lets
+    Myers–Miller enter mid-gap (E state) when a vertical gap crosses the
+    block boundary.
     """
-    gaps = scoring.gaps
-    table = scoring.subst.table
-    n, m = H.shape[0] - 1, H.shape[1] - 1
     i, j = n, m
     ops: list = []
-    if gaps.is_affine:
-        go, ge = gaps.open, gaps.extend
+    if affine:
         state = start_state
         while i > 0 or j > 0:
             if state == _ST_H:
                 if i == 0:
-                    ops.append(_LEFT)
+                    ops.append(_OP_LEFT)
                     j -= 1
                 elif j == 0:
-                    ops.append(_UP)
+                    ops.append(_OP_UP)
                     i -= 1
-                elif H[i, j] == H[i - 1, j - 1] + table[q[i - 1], s[j - 1]]:
-                    ops.append(_DIAG)
-                    i -= 1
-                    j -= 1
-                elif H[i, j] == E[i, j]:
-                    state = _ST_E
-                elif H[i, j] == F[i, j]:
-                    state = _ST_F
-                else:  # pragma: no cover - matrix inconsistency
-                    raise AssertionError("traceback: no valid H move")
+                else:
+                    f = flags[i * stride + j]
+                    if f & DIAG:
+                        ops.append(_OP_DIAG)
+                        i -= 1
+                        j -= 1
+                    elif f & H_E:
+                        state = _ST_E
+                    elif f & H_F:
+                        state = _ST_F
+                    else:  # pragma: no cover - matrix inconsistency
+                        raise AssertionError("traceback: no valid H move")
             elif state == _ST_E:
                 # Prefer extension: if the walker closed a gap that the H
                 # cell above immediately re-opens, consecutive UP ops would
                 # merge into one run and rescore above the optimum — which
                 # is impossible, hence extension-first is always safe.
-                ops.append(_UP)
-                if i > 1 and E[i, j] == E[i - 1, j] + ge:
-                    pass  # stay in E
-                else:
-                    assert E[i, j] == H[i - 1, j] + go + ge, "traceback: bad E close"
+                # (E_STAY is only ever set below row 1.)
+                ops.append(_OP_UP)
+                f = flags[i * stride + j]
+                if not f & E_STAY:
+                    assert f & E_CLOSE, "traceback: bad E close"
                     state = _ST_H
                 i -= 1
-            else:  # _ST_F
-                ops.append(_LEFT)
-                if j > 1 and F[i, j] == F[i, j - 1] + ge:
-                    pass  # stay in F
-                else:
-                    assert F[i, j] == H[i, j - 1] + go + ge, "traceback: bad F close"
+            else:  # _ST_F; F_STAY is only ever set right of column 1
+                ops.append(_OP_LEFT)
+                f = flags[i * stride + j]
+                if not f & F_STAY:
+                    assert f & F_CLOSE, "traceback: bad F close"
                     state = _ST_H
                 j -= 1
     else:
-        g = gaps.gap
         while i > 0 or j > 0:
             if i == 0:
-                ops.append(_LEFT)
+                ops.append(_OP_LEFT)
                 j -= 1
             elif j == 0:
-                ops.append(_UP)
-                i -= 1
-            elif H[i, j] == H[i - 1, j - 1] + table[q[i - 1], s[j - 1]]:
-                ops.append(_DIAG)
-                i -= 1
-                j -= 1
-            elif H[i, j] == H[i - 1, j] + g:
-                ops.append(_UP)
+                ops.append(_OP_UP)
                 i -= 1
             else:
-                assert H[i, j] == H[i, j - 1] + g, "traceback: no valid move"
-                ops.append(_LEFT)
-                j -= 1
+                f = flags[i * stride + j]
+                if f & DIAG:
+                    ops.append(_OP_DIAG)
+                    i -= 1
+                    j -= 1
+                elif f & UP:
+                    ops.append(_OP_UP)
+                    i -= 1
+                else:
+                    assert f & LEFT, "traceback: no valid move"
+                    ops.append(_OP_LEFT)
+                    j -= 1
     ops.reverse()
     return ops
 
 
-def _block_ops(q, s, scoring: Scoring, top_open: bool, bottom_open: bool) -> list:
-    """Solve one small block exactly (full matrices + walk)."""
-    n, m = len(q), len(s)
-    if n == 0:
-        return [_LEFT] * m
-    if m == 0:
-        return [_UP] * n
-    H, E, F = fill_block(q, s, scoring, top_open=top_open)
-    start = _ST_E if (bottom_open and scoring.gaps.is_affine) else _ST_H
-    return _walk_block(H, E, F, q, s, scoring, start)
+def _pad(seqs: list) -> np.ndarray:
+    """Stack 1-D code arrays into an ``(L, max_len)`` array, end-padded."""
+    out = np.zeros((len(seqs), max((x.size for x in seqs), default=0)), dtype=np.uint8)
+    for row, x in zip(out, seqs):
+        row[: x.size] = x
+    return out
+
+
+def _block_lanes(qsegs: list, ssegs: list, scoring: Scoring, top_open=False, bottom_open=False) -> list:
+    """Edit scripts of global blocks: one lane fill, then one walk per lane."""
+    out: list = [None] * len(qsegs)
+    filled = []
+    for k, (q, s) in enumerate(zip(qsegs, ssegs)):
+        if q.size == 0:
+            out[k] = [_OP_LEFT] * s.size
+        elif s.size == 0:
+            out[k] = [_OP_UP] * q.size
+        else:
+            filled.append(k)
+    if filled:
+        affine = scoring.gaps.is_affine
+        flags = fill_block(
+            _pad([qsegs[k] for k in filled]),
+            _pad([ssegs[k] for k in filled]),
+            scoring,
+            top_open=top_open,
+        )
+        stride = flags.shape[2]
+        start = _ST_E if (bottom_open and affine) else _ST_H
+        for lane, k in enumerate(filled):
+            out[k] = _walk_block(
+                flags[lane].tobytes(), stride, qsegs[k].size, ssegs[k].size, affine, start
+            )
+    return out
 
 
 def _hirschberg_ops(
@@ -150,7 +208,7 @@ def _hirschberg_ops(
     """Divide-and-conquer edit script for a global (sub-)alignment."""
     n, m = len(q), len(s)
     if n <= 1 or m <= 1 or (n + 1) * (m + 1) <= cutoff:
-        return _block_ops(q, s, scoring, top_open, bottom_open)
+        return _block_lanes([q], [s], scoring, top_open, bottom_open)[0]
 
     h = n // 2
     gaps = scoring.gaps
@@ -176,60 +234,140 @@ def _hirschberg_ops(
     return left + right
 
 
+def _aligned(codes: np.ndarray, present: np.ndarray) -> str:
+    """One aligned row: ``codes`` in order where ``present``, ``-`` elsewhere."""
+    chars = np.append(CODE_TO_CHAR[codes], _GAP)  # index −1 is the gap
+    return chars[np.where(present, np.cumsum(present) - 1, -1)].tobytes().decode("ascii")
+
+
 def _ops_to_strings(ops, q, s) -> tuple[str, str]:
-    qa, sa = [], []
-    i = j = 0
-    for dq, ds in ops:
-        if dq and ds:
-            qa.append(decode(q[i : i + 1]))
-            sa.append(decode(s[j : j + 1]))
-            i += 1
-            j += 1
-        elif dq:
-            qa.append(decode(q[i : i + 1]))
-            sa.append("-")
-            i += 1
-        else:
-            qa.append("-")
-            sa.append(decode(s[j : j + 1]))
-            j += 1
-    assert i == len(q) and j == len(s), "edit script does not cover the segment"
-    return "".join(qa), "".join(sa)
+    ops = np.asarray(ops, dtype=np.uint8)
+    has_q = ops != _OP_LEFT
+    has_s = ops != _OP_UP
+    assert np.count_nonzero(has_q) == len(q) and np.count_nonzero(has_s) == len(s), (
+        "edit script does not cover the segment"
+    )
+    return _aligned(q, has_q), _aligned(s, has_s)
 
 
-def _segment(q, s, scheme: AlignmentScheme) -> tuple[int, int, int, int, int]:
-    """Locate the aligned segment (i0, i1, j0, j1) and the optimum score."""
-    n, m = len(q), len(s)
+def _segments(qs: list, ss: list, scheme: AlignmentScheme) -> list:
+    """Each lane's aligned segment ``(i0, i1, j0, j1)`` and optimum score."""
+    n = np.array([q.size for q in qs], dtype=np.int64)
+    m = np.array([s.size for s in ss], dtype=np.int64)
     at = scheme.alignment_type
+    track = {AlignmentType.GLOBAL: "corner", AlignmentType.LOCAL: "all"}.get(at, "border")
+    zero_init = at is not AlignmentType.GLOBAL
+    score, (i1, j1) = sweep_best(_pad(qs), _pad(ss), scheme, zero_init, track, n=n, m=m)
     if at is AlignmentType.GLOBAL:
-        H, _E = sweep_last_rows(q, s, scheme.scoring)
-        return 0, n, 0, m, int(H[m])
-    if at is AlignmentType.LOCAL:
-        score, (i1, j1) = sweep_best(q, s, scheme, zero_init=True, track="all")
-        if score <= 0:
-            return 0, 0, 0, 0, 0
+        return [(0, int(a), 0, int(b), int(c)) for a, b, c in zip(n, m, score)]
+    # The start cell: the best global alignment of the reversed prefixes
+    # ending on the same kind of cell (anywhere for local, on the top/left
+    # border for semi-global).
+    out = [(0, 0, 0, 0, 0)] * len(qs)
+    live = [k for k in range(len(qs)) if at is not AlignmentType.LOCAL or score[k] > 0]
+    if live:
         _, (a, b) = sweep_best(
-            q[:i1][::-1],
-            s[:j1][::-1],
+            _pad([qs[k][: i1[k]][::-1] for k in live]),
+            _pad([ss[k][: j1[k]][::-1] for k in live]),
             global_scheme(scheme.scoring),
             zero_init=False,
-            track="all",
+            track=track,
+            n=i1[live],
+            m=j1[live],
         )
-        return i1 - a, i1, j1 - b, j1, score
-    # Semi-global: end on the bottom/right border, start on the top/left.
-    score, (i1, j1) = sweep_best(q, s, scheme, zero_init=True, track="border")
-    _, (a, b) = sweep_best(
-        q[:i1][::-1],
-        s[:j1][::-1],
-        global_scheme(scheme.scoring),
-        zero_init=False,
-        track="border",
+        for r, k in enumerate(live):
+            e, f = int(i1[k]), int(j1[k])
+            out[k] = (e - int(a[r]), e, f - int(b[r]), f, int(score[k]))
+    return out
+
+
+def align_lanes(
+    queries,
+    subjects,
+    scheme: AlignmentScheme,
+    cutoff: int | None = DEFAULT_BLOCK_CUTOFF,
+) -> list[AlignmentResult]:
+    """Optimal alignments of L pairs, relaxed together as one lane stack.
+
+    Pairs may differ in shape (the stack is end-padded); the sweeps and the
+    block fill run once for all lanes, so the stack's memory is one uint8
+    flag per padded cell of the lanes solved as blocks.  Lane ``k`` equals
+    ``align_linear_space(queries[k], subjects[k], scheme, cutoff)``.
+    Callers bound L (see :func:`align_pairs`).
+    """
+    qs = [check_sequence(np.asarray(q, dtype=np.uint8), "query") for q in queries]
+    ss = [check_sequence(np.asarray(s, dtype=np.uint8), "subject") for s in subjects]
+    if len(qs) != len(ss):
+        raise ValidationError("queries and subjects must pair up")
+    if not qs:
+        return []
+    scoring = scheme.scoring
+    segs = _segments(qs, ss, scheme)
+    ops: list = [[] for _ in qs]
+    block = []
+    for k, (i0, i1, j0, j1, _score) in enumerate(segs):
+        cells = (i1 - i0 + 1) * (j1 - j0 + 1)
+        if i1 == i0 and j1 == j0:
+            continue
+        eff_cutoff = cutoff if cutoff is not None else cells
+        if eff_cutoff <= 0:
+            raise ValidationError("cutoff must be positive")
+        if cells <= eff_cutoff or i1 - i0 <= 1 or j1 - j0 <= 1:
+            block.append(k)
+        else:
+            ops[k] = _hirschberg_ops(qs[k][i0:i1], ss[k][j0:j1], scoring, cutoff=eff_cutoff)
+    walked = _block_lanes(
+        [qs[k][segs[k][0] : segs[k][1]] for k in block],
+        [ss[k][segs[k][2] : segs[k][3]] for k in block],
+        scoring,
     )
-    return i1 - a, i1, j1 - b, j1, score
+    for k, lane_ops in zip(block, walked):
+        ops[k] = lane_ops
+
+    kind = "hirschberg" if cutoff is not None else "block"
+    results = []
+    for k, (i0, i1, j0, j1, score) in enumerate(segs):
+        qa, sa = _ops_to_strings(ops[k], qs[k][i0:i1], ss[k][j0:j1])
+        results.append(
+            AlignmentResult(
+                score=score,
+                query_aligned=qa,
+                subject_aligned=sa,
+                query_start=i0,
+                query_end=i1,
+                subject_start=j0,
+                subject_end=j1,
+                meta={"traceback": kind},
+            )
+        )
+    return results
+
+
+def align_pairs(
+    queries,
+    subjects,
+    scheme: AlignmentScheme,
+    cutoff: int | None = DEFAULT_BLOCK_CUTOFF,
+) -> list[AlignmentResult]:
+    """:func:`align_lanes` over any number of pairs, in input order.
+
+    Pairs are sorted by shape and cut into stacks of at most :data:`LANES`
+    lanes, so each stack pads little and its flag memory stays bounded.
+    """
+    order = sorted(range(len(queries)), key=lambda k: (len(queries[k]), len(subjects[k])))
+    out: list = [None] * len(order)
+    for off in range(0, len(order), LANES):
+        part = order[off : off + LANES]
+        for k, res in zip(
+            part,
+            align_lanes([queries[k] for k in part], [subjects[k] for k in part], scheme, cutoff),
+        ):
+            out[k] = res
+    return out
 
 
 def align_block(query, subject, scheme: AlignmentScheme) -> AlignmentResult:
-    """Alignment via one full-matrix block (O(n·m) memory, fast rows).
+    """Alignment via one full-matrix block (O(n·m) flag memory, fast rows).
 
     Suitable for short/medium inputs; long inputs should use
     :func:`align_linear_space`.
@@ -243,32 +381,10 @@ def align_linear_space(
     scheme: AlignmentScheme,
     cutoff: int | None = DEFAULT_BLOCK_CUTOFF,
 ) -> AlignmentResult:
-    """Optimal alignment in linear space (divide-and-conquer traceback).
+    """Optimal alignment of one pair (the one-lane :func:`align_lanes`).
 
-    ``cutoff`` is the block size (in DP cells) below which full-matrix
-    traceback is used; ``None`` means solve everything as one block.
+    ``cutoff`` is the block size (in DP cells) up to which one full-matrix
+    block is walked; larger segments recurse in linear space.  ``None``
+    means solve everything as one block.
     """
-    q = check_sequence(np.asarray(query, dtype=np.uint8), "query")
-    s = check_sequence(np.asarray(subject, dtype=np.uint8), "subject")
-    i0, i1, j0, j1, score = _segment(q, s, scheme)
-
-    qseg, sseg = q[i0:i1], s[j0:j1]
-    if len(qseg) == 0 and len(sseg) == 0:
-        qa = sa = ""
-    else:
-        eff_cutoff = cutoff if cutoff is not None else (len(qseg) + 1) * (len(sseg) + 1)
-        if eff_cutoff <= 0:
-            raise ValidationError("cutoff must be positive")
-        ops = _hirschberg_ops(qseg, sseg, scheme.scoring, cutoff=eff_cutoff)
-        qa, sa = _ops_to_strings(ops, qseg, sseg)
-
-    return AlignmentResult(
-        score=score,
-        query_aligned=qa,
-        subject_aligned=sa,
-        query_start=i0,
-        query_end=i1,
-        subject_start=j0,
-        subject_end=j1,
-        meta={"traceback": "hirschberg" if cutoff is not None else "block"},
-    )
+    return align_lanes([query], [subject], scheme, cutoff)[0]

@@ -364,7 +364,13 @@ class ExecutionEngine:
             self.stats.absorb(pipe.stats)
 
     def align_batch(self, queries, subjects, backend: str | None = None) -> list:
-        """Full alignments for many pairs, pair-parallel across threads."""
+        """Full alignments for many pairs: same-shape lane-stack tracebacks.
+
+        Pairs of one shape are cut into stacks of at most ``lanes`` and run
+        across the worker threads; the ledger records each stack as a lane
+        block (a lone pair as a scalar pop), as :meth:`submit_prebatched`
+        does for scores.  Results come back in request order.
+        """
         enc_q, enc_s = encode_pairs(queries, subjects)
         if not enc_q:
             return []
@@ -372,14 +378,14 @@ class ExecutionEngine:
         plan = self.plan_cache.get_or_build(self.scheme, name, self.dtype)
         self.stats.record(name)
         with execute_timer(_DIRECT, "execute", batch=len(enc_q)) as t:
-            results = self.executor.run_aligns(plan, enc_q, enc_s)
-        # Traceback has no lane kernel: every pair is one scalar pop.
+            results, parts = self.executor.run_aligns(plan, enc_q, enc_s)
+        lane_blocks = sum(1 for p in parts if len(p) > 1)
         self.stats.absorb(
             _direct_stats(
                 len(enc_q),
                 sum(q.size * s.size for q, s in zip(enc_q, enc_s)),
-                lane_blocks=0,
-                scalar_pops=len(enc_q),
+                lane_blocks=lane_blocks,
+                scalar_pops=len(parts) - lane_blocks,
                 seconds=t.seconds,
             )
         )

@@ -15,15 +15,16 @@ the banded verification stage of :mod:`repro.search` implements the same
 protocol over :func:`repro.core.banded.banded_score`.  Scoring always runs
 through that pipeline (or, for pre-bucketed serving batches, straight
 through the stage); :meth:`BatchExecutor.run_aligns` is the one
-non-pipeline entry point — traceback has no lane kernel, so alignments
-run pair-parallel across the pool's threads.
+non-pipeline entry point — alignments of the same shape run as lane-stack
+tracebacks (:func:`repro.core.traceback.align_lanes`), one stack per task
+on the pool's threads.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -111,30 +112,34 @@ class BatchExecutor:
             pass
 
     # -- alignment runs ----------------------------------------------------
-    def run_aligns(self, plan, enc_q: list, enc_s: list) -> list:
-        """Full alignments; pair-parallel across threads (no lanes)."""
+    def run_aligns(self, plan, enc_q: list, enc_s: list) -> tuple[list, list]:
+        """Full alignments in lane stacks; returns ``(results, parts)``.
+
+        Same-shape pairs are cut into stacks of at most :attr:`lanes`
+        (single pairs for plans without lane traceback); each stack is one
+        task on the pool.  ``parts`` lists the request indices of every
+        stack, for the caller's ledger.
+        """
         if self._closed:
             raise ReproError("executor is closed")
-        count = len(enc_q)
-        workers = min(self.max_workers, count)
-        if workers <= 1:
-            return [plan.align_one(q, s) for q, s in zip(enc_q, enc_s)]
+        from repro.engine.batching import group_by_shape
 
-        out: list = [None] * count
-        cursor = {"next": 0}
-        lock = threading.Lock()
+        width = self.lanes if plan.lane_traceback else 1
+        parts = [
+            bucket.indices[off : off + width]
+            for bucket in group_by_shape(enc_q, enc_s)
+            for off in range(0, len(bucket), width)
+        ]
 
-        def worker():
-            while True:
-                with lock:
-                    k = cursor["next"]
-                    if k >= count:
-                        return
-                    cursor["next"] = k + 1
-                out[k] = plan.align_one(enc_q[k], enc_s[k])
+        def run(part):
+            return plan.align_lanes([enc_q[k] for k in part], [enc_s[k] for k in part])
 
-        futures = [self.submit(worker) for _ in range(workers)]
-        wait(futures)
-        for f in futures:
-            f.result()
-        return out
+        if len(parts) == 1 or self.max_workers == 1:
+            done = [run(part) for part in parts]
+        else:
+            done = [f.result() for f in [self.submit(run, part) for part in parts]]
+        out: list = [None] * len(enc_q)
+        for part, results in zip(parts, done):
+            for k, res in zip(part, results):
+                out[k] = res
+        return out, parts

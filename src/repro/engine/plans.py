@@ -113,6 +113,26 @@ class ExecutionPlan:
             dtype=np.int64,
         )
 
+    @property
+    def lane_traceback(self) -> bool:
+        """Whether alignments run as lane stacks (the inline traceback)."""
+        from repro.core.backend import LANE_TRACEBACK
+
+        return self.backend in LANE_TRACEBACK
+
+    def align_lanes(self, qs, ss) -> list:
+        """Full alignments of a stack of pairs, in order.
+
+        Inline strategies align the whole stack in one lane traceback;
+        other backends align pair by pair through their own ``align``.
+        Identical to :meth:`align_one` on each pair either way.
+        """
+        if self.lane_traceback:
+            from repro.core.traceback import align_lanes
+
+            return align_lanes(qs, ss, self.scheme)
+        return [self.align_one(q, s) for q, s in zip(qs, ss)]
+
     def align_one(self, q: np.ndarray, s: np.ndarray):
         return self._worker().align(q, s)
 

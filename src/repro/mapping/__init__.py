@@ -26,7 +26,13 @@ from repro.mapping.dedup import (
     merge_mapped,
     placement_rank,
 )
-from repro.mapping.extend import ExtendStats, Placement, extend_hit, placement_key
+from repro.mapping.extend import (
+    ExtendStats,
+    Placement,
+    extend_hit,
+    extend_hits,
+    placement_key,
+)
 from repro.mapping.mapper import (
     MappingConfig,
     MappingResult,
@@ -54,6 +60,7 @@ __all__ = [
     "ExtendStats",
     "Placement",
     "extend_hit",
+    "extend_hits",
     "placement_key",
     "MappingConfig",
     "MappingResult",

@@ -2,7 +2,8 @@
 
 A :class:`~repro.search.topk.Hit` says "this read scores S somewhere in
 this window"; a :class:`Placement` says exactly where, with the CIGAR to
-prove it.  The stage re-runs ``core.traceback`` per retained hit:
+prove it.  The stage re-runs ``core.traceback`` for every retained hit
+of a call, as lane-stack rounds (:func:`extend_hits`):
 
 * **banded path** — the hit's seed-diagonal envelope (``diag_lo`` /
   ``diag_hi``, carried opaquely through the top-K merge in ``Hit.meta``)
@@ -38,11 +39,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.traceback import align_linear_space
+from repro.core.traceback import align_pairs
 from repro.mapping.cigar import cigar_string, from_alignment
 from repro.obs import get_registry
 
-__all__ = ["ExtendStats", "Placement", "extend_hit"]
+__all__ = ["ExtendStats", "Placement", "extend_hit", "extend_hits"]
 
 
 @dataclass(slots=True)
@@ -103,7 +104,7 @@ class ExtendStats:
     banded: int = 0  # envelope slice accepted by the certificate
     fallback_score: int = 0  # slice score ≠ hit score → full window
     fallback_edge: int = 0  # segment touched a cut slice edge → full window
-    full: int = 0  # no envelope / full mode from the start
+    full: int = 0  # aligned on the whole window (no slice, or a fallback)
     cells_banded: int = 0
     cells_full: int = 0
 
@@ -139,6 +140,83 @@ def _result_to_placement(res, hit, query_id, strand, qlen, window_offset) -> Pla
     )
 
 
+def extend_hits(
+    items,
+    scheme,
+    *,
+    mode: str = "banded",
+    extend_pad: int = 16,
+    stats: ExtendStats | None = None,
+) -> list[Placement]:
+    """Run exact traceback for many hits in lane rounds; placements in order.
+
+    ``items`` holds one ``(query, hit, window, query_id, strand)`` per hit:
+    ``query`` is the *oriented* (possibly reverse-complemented) encoded read
+    the hit was searched with, ``window`` ``None`` for the bases the reducer
+    stashed in ``hit.meta["window"]``, ``query_id`` ``None`` for the hit's
+    own.  Round one aligns every envelope slice as lane stacks
+    (:func:`~repro.core.traceback.align_pairs`) and checks each lane's
+    certificate; round two aligns on the whole window every hit without a
+    slice (``mode="full"``, the oracle path, has none) or whose certificate
+    failed.  Each placement equals the one a lone hit gets.
+    """
+    stats = stats if stats is not None else ExtendStats()
+    jobs = []
+    for query, hit, window, query_id, strand in items:
+        if window is None:
+            window = (hit.meta or {}).get("window")
+            if window is None:
+                raise ValueError("hit carries no window bases; pass window=")
+        q = np.asarray(query, dtype=np.uint8)
+        w = np.asarray(window, dtype=np.uint8)
+        meta = hit.meta or {}
+        dlo, dhi = meta.get("diag_lo"), meta.get("diag_hi")
+        lo, hi = 0, w.size
+        if mode == "banded" and dlo is not None and dhi is not None and dlo <= dhi:
+            lo = max(0, int(dlo) - extend_pad)
+            hi = min(w.size, int(dhi) + q.size + extend_pad)
+        qid = query_id if query_id is not None else hit.query_id
+        jobs.append((q, w, lo, hi, hit, qid, strand))
+    stats.hits += len(jobs)
+
+    placed: list = [None] * len(jobs)
+    # A slice narrower than the window; else full-window is identical.
+    sliced = [k for k, job in enumerate(jobs) if job[3] - job[2] < job[1].size]
+    slice_results = align_pairs(
+        [jobs[k][0] for k in sliced], [jobs[k][1][jobs[k][2] : jobs[k][3]] for k in sliced], scheme
+    )
+    for k, res in zip(sliced, slice_results):
+        q, w, lo, hi, hit, qid, strand = jobs[k]
+        stats.cells_banded += (q.size + 1) * (hi - lo + 1)
+        if res.score != hit.score:
+            stats.fallback_score += 1
+        elif (lo > 0 and res.subject_start == 0) or (hi < w.size and res.subject_end == hi - lo):
+            stats.fallback_edge += 1  # touched a cut edge: the free border is a lie
+        else:
+            stats.banded += 1
+            placed[k] = _result_to_placement(res, hit, qid, strand, q.size, lo)
+
+    whole = [k for k in range(len(jobs)) if placed[k] is None]
+    whole_results = align_pairs([jobs[k][0] for k in whole], [jobs[k][1] for k in whole], scheme)
+    for k, res in zip(whole, whole_results):
+        q, w, _lo, _hi, hit, qid, strand = jobs[k]
+        stats.cells_full += (q.size + 1) * (w.size + 1)
+        stats.full += 1
+        placed[k] = _result_to_placement(res, hit, qid, strand, q.size, 0)
+
+    reg = get_registry()
+    if reg.enabled:
+        counter = reg.counter(
+            "mapping_extend_total",
+            "Hits extended to exact placements, by traceback path",
+            labels=("path",),
+        )
+        for path, count in (("banded", len(jobs) - len(whole)), ("full", len(whole))):
+            if count:
+                counter.inc(count, path=path)
+    return placed
+
+
 def extend_hit(
     query,
     hit,
@@ -151,65 +229,16 @@ def extend_hit(
     strand: str = "+",
     stats: ExtendStats | None = None,
 ) -> Placement:
-    """Run exact traceback for one hit; returns its :class:`Placement`.
+    """Run exact traceback for one hit (the one-hit :func:`extend_hits`).
 
-    ``query`` is the *oriented* (possibly reverse-complemented) encoded
-    read the hit was searched with; ``window`` defaults to the bases the
-    reducer stashed in ``hit.meta["window"]``.  ``mode="full"`` skips the
-    envelope slice and always aligns the whole window (the oracle path).
+    ``window`` defaults to the bases the reducer stashed in
+    ``hit.meta["window"]``; ``mode="full"`` skips the envelope slice and
+    always aligns the whole window (the oracle path).
     """
-    if window is None:
-        window = (hit.meta or {}).get("window")
-        if window is None:
-            raise ValueError("hit carries no window bases; pass window=")
-    q = np.asarray(query, dtype=np.uint8)
-    w = np.asarray(window, dtype=np.uint8)
-    qlen, wlen = int(q.size), int(w.size)
-    stats = stats if stats is not None else ExtendStats()
-    reg = get_registry()
-    stats.hits += 1
-
-    meta = hit.meta or {}
-    dlo, dhi = meta.get("diag_lo"), meta.get("diag_hi")
-    path = "full"
-    res, offset = None, 0
-    if mode == "banded" and dlo is not None and dhi is not None and dlo <= dhi:
-        lo = max(0, int(dlo) - extend_pad)
-        hi = min(wlen, int(dhi) + qlen + extend_pad)
-        if hi - lo < wlen:  # a real slice, else full-window is identical
-            res = align_linear_space(q, w[lo:hi], scheme)
-            stats.cells_banded += (qlen + 1) * (hi - lo + 1)
-            ok = res.score == hit.score
-            if ok and (
-                (lo > 0 and res.subject_start == 0)
-                or (hi < wlen and res.subject_end == hi - lo)
-            ):
-                ok = False  # touched a cut edge: the free border is a lie
-                stats.fallback_edge += 1
-            elif not ok:
-                stats.fallback_score += 1
-            if ok:
-                path = "banded"
-                offset = lo
-                stats.banded += 1
-            else:
-                res = None
-    if res is None:
-        res = align_linear_space(q, w, scheme)
-        stats.cells_full += (qlen + 1) * (wlen + 1)
-        if path == "full":
-            stats.full += 1
-    if reg.enabled:
-        reg.counter(
-            "mapping_extend_total",
-            "Hits extended to exact placements, by traceback path",
-            labels=("path",),
-        ).inc(path="banded" if path == "banded" else "full")
-    return _result_to_placement(
-        res,
-        hit,
-        query_id if query_id is not None else hit.query_id,
-        strand,
-        qlen,
-        offset,
-    )
+    return extend_hits(
+        [(query, hit, window, query_id, strand)],
+        scheme,
+        mode=mode,
+        extend_pad=extend_pad,
+        stats=stats,
+    )[0]

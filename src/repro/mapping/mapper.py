@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.mapping.dedup import DedupStats, merge_mapped
-from repro.mapping.extend import ExtendStats, Placement, extend_hit
+from repro.mapping.extend import ExtendStats, Placement, extend_hits
 from repro.obs import get_registry, get_tracer
 from repro.search.pipeline import (
     SearchConfig,
@@ -194,7 +194,8 @@ def _extend_all(
     windows: dict | None = None,
     mode: str | None = None,
 ) -> tuple[list, ExtendStats]:
-    """Extend every retained hit; per-read placement lists, pre-dedup.
+    """Extend every retained hit of the call in one :func:`extend_hits`
+    pass (lane rounds); per-read placement lists in hit order, pre-dedup.
 
     ``windows`` maps chunk_id → window bases for hits that do not carry
     their window in ``meta`` (the exhaustive oracle path); ``mode``
@@ -204,25 +205,21 @@ def _extend_all(
     oriented = _oriented(enc_reads, cfg)
     mode = mode if mode is not None else cfg.traceback
     stats = ExtendStats()
+    items = [
+        (
+            oriented[qid],
+            hit,
+            windows.get(hit.chunk_id) if windows is not None else None,
+            qid % num_reads,
+            "-" if qid >= num_reads else "+",
+        )
+        for qid, hits in enumerate(hits_per_oriented)
+        for hit in hits
+    ]
+    placed = extend_hits(items, scheme, mode=mode, extend_pad=cfg.extend_pad, stats=stats)
     per_read: list = [[] for _ in range(num_reads)]
-    for qid, hits in enumerate(hits_per_oriented):
-        read_id = qid % num_reads
-        strand = "-" if qid >= num_reads else "+"
-        query = oriented[qid]
-        for hit in hits:
-            window = windows.get(hit.chunk_id) if windows is not None else None
-            p = extend_hit(
-                query,
-                hit,
-                scheme,
-                window=window,
-                mode=mode,
-                extend_pad=cfg.extend_pad,
-                query_id=read_id,
-                strand=strand,
-                stats=stats,
-            )
-            per_read[read_id].append(p)
+    for p in placed:
+        per_read[p.query_id].append(p)
     return per_read, stats
 
 

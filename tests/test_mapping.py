@@ -197,6 +197,62 @@ class TestExtend:
                 checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("mode", ["banded", "full"])
+    def test_batched_extension_matches_per_hit(self, workload, mode):
+        # One call's hits extended in lane rounds equal the hits extended
+        # one by one: same placements in the same order, same counters.
+        from dataclasses import replace
+
+        from repro.mapping.extend import ExtendStats
+        from repro.mapping.mapper import _encode_reads, _extend_all, _oriented
+
+        rs, ref = workload
+        cfg = resolve_config(None, min_score=MIN_SCORE)
+        scheme = cfg.search.resolved_scheme()
+        enc = _encode_reads(rs)
+        oriented = _oriented(enc, cfg)
+        hits = search(
+            oriented, ref, **replace(cfg.search, hit_window=True).search_kwargs()
+        ).topk()
+        # Envelopes far off the true diagonal on every third hit force
+        # certificate fallbacks next to accepted slices.
+        hits = [
+            [
+                replace(h, meta={**h.meta, "diag_lo": 0, "diag_hi": 0}) if k % 3 == 0 else h
+                for k, h in enumerate(row)
+            ]
+            for row in hits
+        ]
+        per_read, batched = _extend_all(enc, hits, cfg, scheme, mode=mode)
+
+        stats = ExtendStats()
+        alone: list = [[] for _ in enc]
+        for qid, row in enumerate(hits):
+            for h in row:
+                p = extend_hit(
+                    oriented[qid],
+                    h,
+                    scheme,
+                    mode=mode,
+                    extend_pad=cfg.extend_pad,
+                    query_id=qid % len(enc),
+                    strand="-" if qid >= len(enc) else "+",
+                    stats=stats,
+                )
+                alone[p.query_id].append(p)
+
+        def view(rows):
+            return [[(placement_key(p), p.score, p.chunk_id, p.hit) for p in ps] for ps in rows]
+
+        assert view(per_read) == view(alone)
+        assert batched == stats
+        assert stats.hits == sum(len(row) for row in hits) > 0
+        if mode == "banded":
+            assert stats.banded > 0 and stats.fallback_score > 0
+            assert stats.full == stats.hits - stats.banded
+        else:
+            assert stats.full == stats.hits and stats.banded == 0
+
     def test_extend_hit_fallback_on_clipped_band(self):
         # A lying envelope (far off the true diagonal) forces the
         # certificate to reject the banded slice and fall back to the

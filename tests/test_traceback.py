@@ -5,7 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.blockdp import fill_block, sweep_best, sweep_last_rows
+from repro.core.blockdp import (
+    DIAG,
+    E_CLOSE,
+    E_STAY,
+    F_CLOSE,
+    F_STAY,
+    H_E,
+    H_F,
+    LEFT,
+    UP,
+    fill_block,
+    sweep_best,
+    sweep_last_rows,
+)
 from repro.core.recurrence import align_reference, dp_matrices, score_reference
 from repro.core.scoring import (
     affine_gap_scoring,
@@ -16,7 +29,15 @@ from repro.core.scoring import (
     semiglobal_scheme,
     simple_subst_scoring,
 )
-from repro.core.traceback import align_block, align_linear_space
+from repro.core.traceback import (
+    DEFAULT_BLOCK_CUTOFF,
+    _block_lanes,
+    _pad,
+    align_block,
+    align_lanes,
+    align_linear_space,
+    align_pairs,
+)
 from repro.util.encoding import encode
 
 from helpers import assert_valid_result, random_dna_str
@@ -37,31 +58,66 @@ SCHEMES = {
 dna = st.text(alphabet="ACGT", min_size=1, max_size=50)
 
 
+def _ref_flags(q, s, scoring):
+    """The walker's move equalities, computed from the reference matrices."""
+    ref = dp_matrices(q, s, global_scheme(scoring))
+    H = ref.H
+    sub = scoring.subst.table[q[:, None], s[None, :]]
+    Hc = H[1:, 1:]
+    bits = {DIAG: Hc == H[:-1, :-1] + sub}
+    if scoring.is_affine:
+        go, ge = scoring.gaps.open, scoring.gaps.extend
+        E, F = ref.E, ref.F
+        e_stay = E[1:, 1:] == E[:-1, 1:] + ge
+        e_stay[0] = False  # no extension from the border row
+        f_stay = F[1:, 1:] == F[1:, :-1] + ge
+        f_stay[:, 0] = False
+        bits.update(
+            {
+                H_E: Hc == E[1:, 1:],
+                H_F: Hc == F[1:, 1:],
+                E_STAY: e_stay,
+                E_CLOSE: E[1:, 1:] == H[:-1, 1:] + go + ge,
+                F_STAY: f_stay,
+                F_CLOSE: F[1:, 1:] == H[1:, :-1] + go + ge,
+            }
+        )
+    else:
+        g = scoring.gaps.gap
+        bits.update({UP: Hc == H[:-1, 1:] + g, LEFT: Hc == H[1:, :-1] + g})
+    return ref, bits
+
+
 class TestFillBlock:
     @pytest.mark.parametrize("scoring", [LINEAR, AFFINE], ids=["linear", "affine"])
     def test_matches_reference_global(self, scoring):
-        scheme = global_scheme(scoring)
+        # Every move flag is the equality the walker would test on the
+        # reference matrices (F in scan form equals the textbook F for
+        # open <= 0); borders carry no flags.
         rng = np.random.default_rng(1)
         for _ in range(10):
             n, m = rng.integers(1, 30, 2)
             q = rng.integers(0, 4, n).astype(np.uint8)
             s = rng.integers(0, 4, m).astype(np.uint8)
-            H, E, F = fill_block(q, s, scoring)
-            ref = dp_matrices(q, s, scheme)
-            np.testing.assert_array_equal(H, ref.H)
-            if scoring.is_affine:
-                np.testing.assert_array_equal(E, ref.E)
-                # F is stored in scan form: scores agree where F wins into H.
+            flags = fill_block(q, s, scoring)
+            assert flags.shape == (n + 1, m + 1) and flags.dtype == np.uint8
+            _ref, bits = _ref_flags(q, s, scoring)
+            for bit, want in bits.items():
+                np.testing.assert_array_equal((flags[1:, 1:] & bit) != 0, want)
+            assert not flags[0].any() and not flags[:, 0].any()
 
     def test_top_open_discount(self):
         # With a pre-opened vertical gap, an initial deletion costs only
-        # the extension.
+        # the extension: H(1,0) = ge (not go+ge) ...
         q, s = encode("AA"), encode("A")
-        H, E, F = fill_block(q, s, AFFINE.gaps and AFFINE, top_open=True)
-        # H(1,0) = ge (not go+ge)
-        assert H[1, 0] == -1
-        H2, *_ = fill_block(q, s, AFFINE, top_open=False)
-        assert H2[1, 0] == -3
+        assert sweep_last_rows(q[:1], s, AFFINE, top_open=True)[0][0] == -1
+        assert sweep_last_rows(q[:1], s, AFFINE, top_open=False)[0][0] == -3
+        # ... so at (2, 1) the diagonal beats re-entering the gap, which
+        # ties it when the gap must be opened.
+        opened = fill_block(q, s, AFFINE, top_open=True)
+        closed = fill_block(q, s, AFFINE, top_open=False)
+        assert opened[2, 1] & DIAG and not opened[2, 1] & H_E
+        assert closed[2, 1] & DIAG and closed[2, 1] & H_E
 
     def test_top_open_linear_rejected(self):
         with pytest.raises(ValueError):
@@ -76,10 +132,10 @@ class TestSweeps:
             q = rng.integers(0, 4, n).astype(np.uint8)
             s = rng.integers(0, 4, m).astype(np.uint8)
             H_last, E_last = sweep_last_rows(q, s, scoring)
-            H, E, _F = fill_block(q, s, scoring)
-            np.testing.assert_array_equal(H_last, H[n])
+            ref = dp_matrices(q, s, global_scheme(scoring))
+            np.testing.assert_array_equal(H_last, ref.H[n])
             if scoring.is_affine:
-                np.testing.assert_array_equal(E_last, E[n])
+                np.testing.assert_array_equal(E_last, ref.E[n])
 
     @pytest.mark.parametrize("name", ["local-linear", "local-affine"])
     def test_sweep_best_finds_local_optimum(self, name):
@@ -207,3 +263,199 @@ class TestLargerInputs:
         from repro.core.kernels import score_rowscan
 
         assert res.score == score_rowscan(q, base, scheme)
+
+
+# -- lane stacks ---------------------------------------------------------
+
+def _fields(res):
+    return (
+        res.score,
+        res.query_aligned,
+        res.subject_aligned,
+        res.query_start,
+        res.query_end,
+        res.subject_start,
+        res.subject_end,
+    )
+
+
+def _assert_lanes_match_singles(qs, ss, scheme, cutoff):
+    """Every lane equals the one-pair call, and rescores to the optimum."""
+    got = align_lanes([encode(q) for q in qs], [encode(s) for s in ss], scheme, cutoff)
+    assert len(got) == len(qs)
+    for q, s, res in zip(qs, ss, got):
+        want = align_linear_space(encode(q), encode(s), scheme, cutoff)
+        assert _fields(res) == _fields(want)
+        assert res.meta == want.meta
+        assert res.score == score_reference(encode(q), encode(s), scheme)
+        assert_valid_result(res, q, s, scheme)
+
+
+def _homopolymer(base_runs):
+    return "".join(base * length for base, length in base_runs)
+
+
+runs = st.lists(st.tuples(st.sampled_from("ACGT"), st.integers(1, 6)), min_size=1, max_size=8)
+
+
+@st.composite
+def homopolymer_indel_pairs(draw):
+    """A homopolymer-run read and a copy with runs grown or shrunk: rich in
+    co-optimal gap placements."""
+    base = draw(runs)
+    edited = [(b, max(1, n + draw(st.integers(-2, 2)))) for b, n in base]
+    return _homopolymer(base), _homopolymer(edited)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+class TestAlignLanes:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(dna, dna), min_size=1, max_size=6),
+        cutoff=st.sampled_from([8, 64, DEFAULT_BLOCK_CUTOFF, None]),
+    )
+    def test_mixed_widths_match_singles(self, name, pairs, cutoff):
+        qs, ss = zip(*pairs)
+        _assert_lanes_match_singles(qs, ss, SCHEMES[name], cutoff)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        pairs=st.lists(homopolymer_indel_pairs(), min_size=1, max_size=5),
+        cutoff=st.sampled_from([8, DEFAULT_BLOCK_CUTOFF]),
+    )
+    def test_homopolymer_indels_match_singles(self, name, pairs, cutoff):
+        qs, ss = zip(*pairs)
+        _assert_lanes_match_singles(qs, ss, SCHEMES[name], cutoff)
+
+    def test_one_lane_and_unit_extents(self, name):
+        scheme = SCHEMES[name]
+        _assert_lanes_match_singles(["ACGTTGCA"], ["ACGTGCA"], scheme, None)
+        # n = 1 and m = 1 lanes padded next to wide ones.
+        qs = ["A", "ACGTACGTAC", "G", "TTGACCA"]
+        ss = ["ACGTTA", "C", "G", "TTGCCAGGA"]
+        for cutoff in (8, DEFAULT_BLOCK_CUTOFF):
+            _assert_lanes_match_singles(qs, ss, scheme, cutoff)
+
+    def test_block_at_cutoff_equals_align_block(self, name):
+        # A segment of at most `cutoff` cells is one block: the result is
+        # align_block's, whatever the recursion would have chosen.
+        scheme = SCHEMES[name]
+        rng = np.random.default_rng(29)
+        for _ in range(6):
+            q = encode(random_dna_str(rng, int(rng.integers(1, 40))))
+            s = encode(random_dna_str(rng, int(rng.integers(1, 40))))
+            cells = (q.size + 1) * (s.size + 1)  # the segment is at most this
+            for cutoff in (cells, cells + 1, DEFAULT_BLOCK_CUTOFF):
+                assert _fields(align_linear_space(q, s, scheme, cutoff)) == _fields(
+                    align_block(q, s, scheme)
+                )
+
+    def test_align_pairs_keeps_input_order(self, name):
+        scheme = SCHEMES[name]
+        rng = np.random.default_rng(31)
+        qs = [encode(random_dna_str(rng, int(rng.integers(1, 30)))) for _ in range(70)]
+        ss = [encode(random_dna_str(rng, int(rng.integers(1, 30)))) for _ in range(70)]
+        got = align_pairs(qs, ss, scheme)
+        assert [_fields(r) for r in got] == [
+            _fields(align_linear_space(q, s, scheme)) for q, s in zip(qs, ss)
+        ]
+
+
+class TestLaneEdgeCases:
+    def test_local_without_positive_score_is_empty_in_a_stack(self):
+        scheme = SCHEMES["local-affine"]
+        got = align_lanes(
+            [encode("AAAA"), encode("ACGTAC"), encode("CCC")],
+            [encode("TTTT"), encode("GACGTA"), encode("GGGGG")],
+            scheme,
+        )
+        assert [r.score for r in got] == [0, 10, 0]
+        for k in (0, 2):
+            assert got[k].query_aligned == got[k].subject_aligned == ""
+            assert (got[k].query_start, got[k].query_end) == (0, 0)
+        _assert_lanes_match_singles(["AAAA", "ACGTAC", "CCC"], ["TTTT", "GACGTA", "GGGGG"], scheme, 8)
+
+    def test_affine_gap_crossing_a_split_next_to_blocks(self):
+        # One lane recurses (a 30-base deletion across the midline, charged
+        # one open), its neighbours are solved as blocks in the same call.
+        scheme = SCHEMES["global-affine"]
+        core = "ACGTACGTACGTACGTACGTACGTACGTA"
+        qs = [core[:14] + "G" * 30 + core[14:], "ACGT", "ACGGT"]
+        ss = [core, "AGT", "ACGT"]
+        got = align_lanes([encode(q) for q in qs], [encode(s) for s in ss], scheme, cutoff=64)
+        assert "-" * 30 in got[0].subject_aligned
+        _assert_lanes_match_singles(qs, ss, scheme, 64)
+
+    @pytest.mark.parametrize("top_open", [False, True])
+    @pytest.mark.parametrize("bottom_open", [False, True])
+    def test_open_boundary_leaf_blocks(self, top_open, bottom_open):
+        # Myers–Miller leaves enter or leave the block inside a vertical
+        # gap; a stack of such leaves walks each lane as it would alone.
+        rng = np.random.default_rng(37)
+        qsegs = [rng.integers(0, 4, int(rng.integers(1, 12))).astype(np.uint8) for _ in range(6)]
+        ssegs = [rng.integers(0, 4, int(rng.integers(1, 12))).astype(np.uint8) for _ in range(6)]
+        got = _block_lanes(qsegs, ssegs, AFFINE, top_open, bottom_open)
+        for q, s, ops in zip(qsegs, ssegs, got):
+            assert ops == _block_lanes([q], [s], AFFINE, top_open, bottom_open)[0]
+            assert sum(op != 2 for op in ops) == q.size  # 2 = LEFT
+            assert sum(op != 1 for op in ops) == s.size  # 1 = UP
+            if bottom_open:
+                assert ops[-1] == 1  # ends inside the vertical gap
+
+    @pytest.mark.parametrize("scoring", [LINEAR, AFFINE], ids=["linear", "affine"])
+    def test_padding_is_invisible_to_each_lane(self, scoring):
+        rng = np.random.default_rng(41)
+        qs = [rng.integers(0, 4, int(rng.integers(1, 20))).astype(np.uint8) for _ in range(5)]
+        ss = [rng.integers(0, 4, int(rng.integers(1, 20))).astype(np.uint8) for _ in range(5)]
+        stacked = fill_block(_pad(qs), _pad(ss), scoring)
+        for k, (q, s) in enumerate(zip(qs, ss)):
+            own = fill_block(q, s, scoring)
+            np.testing.assert_array_equal(stacked[k, : q.size + 1, : s.size + 1], own)
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_sweep_best_lanes_match_singles(self, name):
+        scheme = SCHEMES[name]
+        at = scheme.alignment_type.value
+        track = {"global": "corner", "local": "all"}.get(at, "border")
+        rng = np.random.default_rng(43)
+        qs = [rng.integers(0, 4, int(rng.integers(0, 20))).astype(np.uint8) for _ in range(7)]
+        ss = [rng.integers(0, 4, int(rng.integers(0, 20))).astype(np.uint8) for _ in range(7)]
+        n = [q.size for q in qs]
+        m = [s.size for s in ss]
+        for zero_init in (False, True):
+            best, (bi, bj) = sweep_best(_pad(qs), _pad(ss), scheme, zero_init, track, n=n, m=m)
+            for k, (q, s) in enumerate(zip(qs, ss)):
+                one = sweep_best(q, s, scheme, zero_init, track)
+                assert (int(best[k]), (int(bi[k]), int(bj[k]))) == one
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_sweep_best_tie_order_matches_matrix_scan(self, name):
+        # The optimum each sweep reports is the one a strict-improvement
+        # scan of the reference matrix picks: first in row-major order
+        # ("all"), the last column top-down then the last row ("border").
+        scheme = SCHEMES[name]
+        at = scheme.alignment_type.value
+        track = {"global": "corner", "local": "all"}.get(at, "border")
+        rng = np.random.default_rng(47)
+        for _ in range(12):
+            # Low-entropy inputs: many co-optimal cells.
+            q = rng.choice([0, 0, 1], int(rng.integers(1, 15))).astype(np.uint8)
+            s = rng.choice([0, 0, 1], int(rng.integers(1, 15))).astype(np.uint8)
+            # The forward sweep of the scheme, then the reversed-prefix
+            # global sweep tracking the same kind of cell.
+            for sch, zero_init in ((scheme, at != "global"), (global_scheme(scheme.scoring), False)):
+                H = dp_matrices(q, s, sch).H
+                n, m = q.size, s.size
+                if track == "corner":
+                    want = (int(H[n, m]), (n, m))
+                elif track == "all":
+                    flat = int(np.argmax(H))
+                    want = (int(H.flat[flat]), divmod(flat, m + 1))
+                else:
+                    i = int(np.argmax(H[:, m]))
+                    want = (int(H[i, m]), (i, m))
+                    j = int(np.argmax(H[n]))
+                    if H[n, j] > want[0]:
+                        want = (int(H[n, j]), (n, j))
+                got = sweep_best(_pad([q, q[::-1]]), _pad([s, s[::-1]]), sch, zero_init, track)
+                assert (int(got[0][0]), (int(got[1][0][0]), int(got[1][1][0]))) == want
