@@ -230,33 +230,20 @@ class Aligner:
     def align_batch(self, queries, subjects) -> list[AlignmentResult]:
         """Full alignments for many pairs, each equal to :meth:`align`.
 
-        Pairs an inline strategy traces run as lane-stack tracebacks
-        (:func:`~repro.core.traceback.align_pairs`); the rest align one by
-        one through their backend.
+        The inline traceback strategies align the batch as lane stacks
+        (:func:`~repro.core.traceback.align_pairs`); other backends align
+        pair by pair.
         """
         if len(queries) != len(subjects):
             raise ValidationError("queries and subjects must pair up")
-        enc_q = [encode(q) for q in queries]
-        enc_s = [encode(s) for s in subjects]
-        lane = [
-            k
-            for k, (q, s) in enumerate(zip(enc_q, enc_s))
-            if self._pick(pairs=1, extent=max(q.size, s.size), need_traceback=True)
-            in LANE_TRACEBACK
-        ]
-        out: list = [None] * len(enc_q)
-        traced = align_pairs(
-            [enc_q[k] for k in lane],
-            [enc_s[k] for k in lane],
-            self.scheme,
-            cutoff=self.traceback_cutoff,
-        )
-        for k, res in zip(lane, traced):
-            out[k] = res
-        return [
-            res if res is not None else self.align(q, s)
-            for res, q, s in zip(out, enc_q, enc_s)
-        ]
+        if self.backend in LANE_TRACEBACK:
+            return align_pairs(
+                [encode(q) for q in queries],
+                [encode(s) for s in subjects],
+                self.scheme,
+                cutoff=self.traceback_cutoff,
+            )
+        return [self.align(q, s) for q, s in zip(queries, subjects)]
 
     def __repr__(self):
         at = self.scheme.alignment_type.value

@@ -3,9 +3,11 @@
 Row-sweep recurrences used by the traceback of :mod:`repro.core.traceback`.
 Unlike the reference in :mod:`repro.core.recurrence` (plain loops, oracle)
 every row is filled with NumPy using the same prefix-scan closure as the
-staged kernels, and every function takes a *lane stack*: ``(L, n)`` queries
-against ``(L, m)`` subjects, relaxed together row by row.  A single pair is
-the ``L = 1`` case (1-D inputs are promoted and the results unwrapped).
+staged kernels.  :func:`fill_block` and :func:`sweep_best` take a *lane
+stack*: ``(L, n)`` queries against ``(L, m)`` subjects, relaxed together
+row by row; a single pair is the ``L = 1`` case (1-D inputs are promoted
+and the results unwrapped).  :func:`sweep_last_rows` sweeps one pair for
+the Hirschberg recursion on the same row recurrence.
 
 Lanes of different extents share one stack by padding at the end: the
 cell ``(i, j)`` depends only on cells ``(≤ i, ≤ j)``, so a lane's cells
@@ -168,17 +170,15 @@ def fill_block(qs, ss, scoring: Scoring, top_open: bool = False) -> np.ndarray:
 
 
 def sweep_last_rows(q, s, scoring: Scoring, top_open: bool = False):
-    """Last DP row(s) of a global-init block in O(m) space.
+    """Last DP row(s) of one pair's global-init block in O(m) space.
 
     Returns ``(H_last, E_last)`` (``E_last`` is ``None`` for linear gaps).
     This is the forward/backward pass of the Hirschberg midpoint search.
     """
-    qs, ss, single = _stack(q, s)
+    qs, ss, _ = _stack(q, s)
     for H, E, _F, _diag in _rows(qs, ss, scoring, top_open=top_open):
         pass
-    if single:
-        return H[0], (None if E is None else E[0])
-    return H, E
+    return H[0], (None if E is None else E[0])
 
 
 def sweep_best(

@@ -66,6 +66,7 @@ __all__ = [
     "align_lanes",
     "align_linear_space",
     "align_pairs",
+    "lane_parts",
     "DEFAULT_BLOCK_CUTOFF",
     "LANES",
 ]
@@ -74,7 +75,7 @@ __all__ = [
 #: larger segments recurse (Hirschberg / Myers–Miller) down to it.
 DEFAULT_BLOCK_CUTOFF = 1 << 16
 
-#: Lane-stack width :func:`align_pairs` fills (the engine's default lanes).
+#: Lane-stack width of :func:`lane_parts` (the engine's default lanes).
 LANES = 64
 
 _ST_H, _ST_E, _ST_F = 0, 1, 2
@@ -85,7 +86,9 @@ _OP_DIAG, _OP_UP, _OP_LEFT = 0, 1, 2
 _GAP = np.uint8(ord("-"))
 
 
-def _walk_block(flags: bytes, stride: int, n: int, m: int, affine: bool, start_state: int) -> list:
+def _walk_block(
+    flags: bytes, stride: int, n: int, m: int, affine: bool, start_state: int
+) -> list:
     """Walk one lane's move flags from ``(n, m)`` back to ``(0, 0)``.
 
     ``flags`` is the lane's flattened ``fill_block`` output (row stride
@@ -169,7 +172,9 @@ def _pad(seqs: list) -> np.ndarray:
     return out
 
 
-def _block_lanes(qsegs: list, ssegs: list, scoring: Scoring, top_open=False, bottom_open=False) -> list:
+def _block_lanes(
+    qsegs: list, ssegs: list, scoring: Scoring, top_open=False, bottom_open=False
+) -> list:
     """Edit scripts of global blocks: one lane fill, then one walk per lane."""
     out: list = [None] * len(qsegs)
     filled = []
@@ -293,7 +298,7 @@ def align_lanes(
     block fill run once for all lanes, so the stack's memory is one uint8
     flag per padded cell of the lanes solved as blocks.  Lane ``k`` equals
     ``align_linear_space(queries[k], subjects[k], scheme, cutoff)``.
-    Callers bound L (see :func:`align_pairs`).
+    Callers bound L (see :func:`lane_parts`).
     """
     qs = [check_sequence(np.asarray(q, dtype=np.uint8), "query") for q in queries]
     ss = [check_sequence(np.asarray(s, dtype=np.uint8), "subject") for s in subjects]
@@ -343,6 +348,33 @@ def align_lanes(
     return results
 
 
+def lane_parts(queries, subjects, width: int = LANES) -> list[list[int]]:
+    """Cut pair indices into lane stacks of at most ``width`` lanes.
+
+    Pairs are sorted by shape, and a stack is closed before padding would
+    make up more than half of its cells, so one long pair never drags
+    short ones through its extent.
+    """
+    order = sorted(range(len(queries)), key=lambda k: (len(queries[k]), len(subjects[k])))
+    parts: list = []
+    part: list = []
+    real = n_max = m_max = 0
+    for k in order:
+        n, m = len(queries[k]) + 1, len(subjects[k]) + 1
+        if part and (
+            len(part) == width
+            or 2 * (real + n * m) < (len(part) + 1) * max(n_max, n) * max(m_max, m)
+        ):
+            parts.append(part)
+            part, real, n_max, m_max = [], 0, 0, 0
+        part.append(k)
+        real += n * m
+        n_max, m_max = max(n_max, n), max(m_max, m)
+    if part:
+        parts.append(part)
+    return parts
+
+
 def align_pairs(
     queries,
     subjects,
@@ -351,13 +383,11 @@ def align_pairs(
 ) -> list[AlignmentResult]:
     """:func:`align_lanes` over any number of pairs, in input order.
 
-    Pairs are sorted by shape and cut into stacks of at most :data:`LANES`
-    lanes, so each stack pads little and its flag memory stays bounded.
+    The stacks are :func:`lane_parts`, so each pads little and its flag
+    memory stays bounded.
     """
-    order = sorted(range(len(queries)), key=lambda k: (len(queries[k]), len(subjects[k])))
-    out: list = [None] * len(order)
-    for off in range(0, len(order), LANES):
-        part = order[off : off + LANES]
+    out: list = [None] * len(queries)
+    for part in lane_parts(queries, subjects):
         for k, res in zip(
             part,
             align_lanes([queries[k] for k in part], [subjects[k] for k in part], scheme, cutoff),

@@ -364,12 +364,13 @@ class ExecutionEngine:
             self.stats.absorb(pipe.stats)
 
     def align_batch(self, queries, subjects, backend: str | None = None) -> list:
-        """Full alignments for many pairs: same-shape lane-stack tracebacks.
+        """Full alignments for many pairs as lane-stack tracebacks.
 
-        Pairs of one shape are cut into stacks of at most ``lanes`` and run
-        across the worker threads; the ledger records each stack as a lane
-        block (a lone pair as a scalar pop), as :meth:`submit_prebatched`
-        does for scores.  Results come back in request order.
+        Pairs are cut into stacks of at most ``lanes`` — a same-shape batch
+        fills them, mixed shapes are padded within a bound — and run across
+        the worker threads; the ledger records each stack as a lane block
+        (a lone pair as a scalar pop), as :meth:`submit_prebatched` does
+        for scores.  Results come back in request order.
         """
         enc_q, enc_s = encode_pairs(queries, subjects)
         if not enc_q:

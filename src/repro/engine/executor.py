@@ -15,9 +15,9 @@ the banded verification stage of :mod:`repro.search` implements the same
 protocol over :func:`repro.core.banded.banded_score`.  Scoring always runs
 through that pipeline (or, for pre-bucketed serving batches, straight
 through the stage); :meth:`BatchExecutor.run_aligns` is the one
-non-pipeline entry point — alignments of the same shape run as lane-stack
-tracebacks (:func:`repro.core.traceback.align_lanes`), one stack per task
-on the pool's threads.
+non-pipeline entry point — alignments run as lane-stack tracebacks
+(:func:`repro.core.traceback.align_lanes`), one stack per task on the
+pool's threads.
 """
 
 from __future__ import annotations
@@ -115,21 +115,16 @@ class BatchExecutor:
     def run_aligns(self, plan, enc_q: list, enc_s: list) -> tuple[list, list]:
         """Full alignments in lane stacks; returns ``(results, parts)``.
 
-        Same-shape pairs are cut into stacks of at most :attr:`lanes`
-        (single pairs for plans without lane traceback); each stack is one
-        task on the pool.  ``parts`` lists the request indices of every
-        stack, for the caller's ledger.
+        Pairs are cut into :func:`~repro.core.traceback.lane_parts` stacks
+        of at most :attr:`lanes` (single pairs for plans without lane
+        traceback); each stack is one task on the pool.  ``parts`` lists
+        the request indices of every stack, for the caller's ledger.
         """
         if self._closed:
             raise ReproError("executor is closed")
-        from repro.engine.batching import group_by_shape
+        from repro.core.traceback import lane_parts
 
-        width = self.lanes if plan.lane_traceback else 1
-        parts = [
-            bucket.indices[off : off + width]
-            for bucket in group_by_shape(enc_q, enc_s)
-            for off in range(0, len(bucket), width)
-        ]
+        parts = lane_parts(enc_q, enc_s, self.lanes if plan.lane_traceback else 1)
 
         def run(part):
             return plan.align_lanes([enc_q[k] for k in part], [enc_s[k] for k in part])

@@ -181,9 +181,11 @@ def extend_hits(
 
     placed: list = [None] * len(jobs)
     # A slice narrower than the window; else full-window is identical.
-    sliced = [k for k, job in enumerate(jobs) if job[3] - job[2] < job[1].size]
+    sliced = [k for k, (_q, w, lo, hi, *_) in enumerate(jobs) if hi - lo < w.size]
     slice_results = align_pairs(
-        [jobs[k][0] for k in sliced], [jobs[k][1][jobs[k][2] : jobs[k][3]] for k in sliced], scheme
+        [jobs[k][0] for k in sliced],
+        [w[lo:hi] for _q, w, lo, hi, *_ in (jobs[k] for k in sliced)],
+        scheme,
     )
     for k, res in zip(sliced, slice_results):
         q, w, lo, hi, hit, qid, strand = jobs[k]

@@ -37,6 +37,7 @@ from repro.core.traceback import (
     align_lanes,
     align_linear_space,
     align_pairs,
+    lane_parts,
 )
 from repro.util.encoding import encode
 
@@ -88,6 +89,49 @@ def _ref_flags(q, s, scoring):
     return ref, bits
 
 
+def _matrix_walk(q, s, scoring):
+    """Aligned strings of a global block walked over full score matrices.
+
+    The walker as it ran on H/E/F before move flags, here over the
+    reference matrices: the diagonal first, then E, then F; a gap state
+    extends before it closes.
+    """
+    ref = dp_matrices(q, s, global_scheme(scoring))
+    H, E, F = ref.H, ref.E, ref.F
+    table = scoring.subst.table
+    i, j, state = q.size, s.size, "H"
+    qa, sa = [], []
+
+    def step(di, dj):
+        qa.append("ACGT"[q[i - 1]] if di else "-")
+        sa.append("ACGT"[s[j - 1]] if dj else "-")
+        return i - di, j - dj
+
+    while i > 0 or j > 0:
+        if state == "H":
+            if i == 0 or j == 0:
+                i, j = step(int(i > 0), int(i == 0))
+            elif H[i, j] == H[i - 1, j - 1] + table[q[i - 1], s[j - 1]]:
+                i, j = step(1, 1)
+            elif scoring.is_affine and H[i, j] == E[i, j]:
+                state = "E"
+            elif scoring.is_affine and H[i, j] == F[i, j]:
+                state = "F"
+            elif not scoring.is_affine and H[i, j] == H[i - 1, j] + scoring.gaps.gap:
+                i, j = step(1, 0)
+            else:
+                i, j = step(0, 1)
+        elif state == "E":
+            if not (i > 1 and E[i, j] == E[i - 1, j] + scoring.gaps.extend):
+                state = "H"
+            i, j = step(1, 0)
+        else:
+            if not (j > 1 and F[i, j] == F[i, j - 1] + scoring.gaps.extend):
+                state = "H"
+            i, j = step(0, 1)
+    return "".join(reversed(qa)), "".join(reversed(sa))
+
+
 class TestFillBlock:
     @pytest.mark.parametrize("scoring", [LINEAR, AFFINE], ids=["linear", "affine"])
     def test_matches_reference_global(self, scoring):
@@ -118,6 +162,17 @@ class TestFillBlock:
         closed = fill_block(q, s, AFFINE, top_open=False)
         assert opened[2, 1] & DIAG and not opened[2, 1] & H_E
         assert closed[2, 1] & DIAG and closed[2, 1] & H_E
+
+    @pytest.mark.parametrize("scoring", [LINEAR, AFFINE], ids=["linear", "affine"])
+    def test_walk_matches_matrix_walk(self, scoring):
+        # The flag walker picks the co-optimal path the walk over score
+        # matrices picks (homopolymer runs make many of them).
+        rng = np.random.default_rng(53)
+        for _ in range(30):
+            q = rng.choice([0, 0, 0, 1], int(rng.integers(1, 25))).astype(np.uint8)
+            s = rng.choice([0, 0, 0, 1], int(rng.integers(1, 25))).astype(np.uint8)
+            res = align_block(q, s, global_scheme(scoring))
+            assert (res.query_aligned, res.subject_aligned) == _matrix_walk(q, s, scoring)
 
     def test_top_open_linear_rejected(self):
         with pytest.raises(ValueError):
@@ -373,7 +428,9 @@ class TestLaneEdgeCases:
         for k in (0, 2):
             assert got[k].query_aligned == got[k].subject_aligned == ""
             assert (got[k].query_start, got[k].query_end) == (0, 0)
-        _assert_lanes_match_singles(["AAAA", "ACGTAC", "CCC"], ["TTTT", "GACGTA", "GGGGG"], scheme, 8)
+        _assert_lanes_match_singles(
+            ["AAAA", "ACGTAC", "CCC"], ["TTTT", "GACGTA", "GGGGG"], scheme, 8
+        )
 
     def test_affine_gap_crossing_a_split_next_to_blocks(self):
         # One lane recurses (a 30-base deletion across the midline, charged
@@ -443,7 +500,8 @@ class TestLaneEdgeCases:
             s = rng.choice([0, 0, 1], int(rng.integers(1, 15))).astype(np.uint8)
             # The forward sweep of the scheme, then the reversed-prefix
             # global sweep tracking the same kind of cell.
-            for sch, zero_init in ((scheme, at != "global"), (global_scheme(scheme.scoring), False)):
+            reverse = global_scheme(scheme.scoring)
+            for sch, zero_init in ((scheme, at != "global"), (reverse, False)):
                 H = dp_matrices(q, s, sch).H
                 n, m = q.size, s.size
                 if track == "corner":
@@ -459,3 +517,29 @@ class TestLaneEdgeCases:
                         want = (int(H[n, j]), (n, j))
                 got = sweep_best(_pad([q, q[::-1]]), _pad([s, s[::-1]]), sch, zero_init, track)
                 assert (int(got[0][0]), (int(got[1][0][0]), int(got[1][1][0]))) == want
+
+
+class TestLaneParts:
+    def test_every_pair_once_sorted_and_capped(self):
+        rng = np.random.default_rng(59)
+        qs = ["A" * int(n) for n in rng.integers(1, 50, 150)]
+        ss = ["C" * int(m) for m in rng.integers(1, 50, 150)]
+        parts = lane_parts(qs, ss, width=16)
+        assert sorted(k for part in parts for k in part) == list(range(150))
+        flat = [k for part in parts for k in part]
+        assert flat == sorted(flat, key=lambda k: (len(qs[k]), len(ss[k])))
+        assert max(len(part) for part in parts) <= 16
+
+    def test_padding_stays_below_half_of_a_stack(self):
+        rng = np.random.default_rng(61)
+        qs = ["A" * int(n) for n in rng.integers(1, 400, 200)]
+        ss = ["C" * int(m) for m in rng.integers(1, 400, 200)]
+        for part in lane_parts(qs, ss):
+            n = [len(qs[k]) + 1 for k in part]
+            m = [len(ss[k]) + 1 for k in part]
+            assert len(part) * max(n) * max(m) <= 2 * sum(a * b for a, b in zip(n, m))
+
+    def test_same_shape_batch_fills_stacks(self):
+        parts = lane_parts(["ACGT"] * 130, ["ACG"] * 130, width=64)
+        assert [len(part) for part in parts] == [64, 64, 2]
+        assert lane_parts(["ACGT"] * 3, ["ACG"] * 3, width=1) == [[0], [1], [2]]
