@@ -429,7 +429,7 @@ class AlignmentService:
     async def submit_align(
         self, query, subject, *, priority=Priority.NORMAL, timeout: float | None = None
     ):
-        """Full alignment (traceback) for one pair, micro-batched pair-parallel."""
+        """Full alignment (traceback) for one pair, micro-batched into lane stacks."""
         tracer = get_tracer()
         with tracer.span("serve.submit", kind="align"):
             req = self._admit("align", query, subject, priority, timeout)
