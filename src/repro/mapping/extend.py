@@ -82,8 +82,8 @@ def placement_key(p: Placement) -> tuple:
 
     Deliberately excludes ``query_id``: dedup buckets per read already,
     and a read's placements must compare equal whether it was mapped
-    alone (``map_one``, service traffic — id 0) or at position ``i`` of
-    a batch.
+    alone (``map_one`` — id 0) or at position ``i`` of a batch (a
+    coalesced service bucket, say).
     """
     return (
         p.record,

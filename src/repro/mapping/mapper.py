@@ -321,7 +321,9 @@ def map_reads(
 
 
 def map_one(read, database, *, engine=None, config=None, **kwargs) -> list[Placement]:
-    """Placements of a *single* read: the per-read serving entry point."""
+    """Placements of a *single* read: the lone answer a coalesced
+    ``submit_map`` request must equal (the service maps whole buckets
+    through :func:`map_reads`)."""
     return map_reads(
         [read], database, config=config, engine=engine, **kwargs
     ).placements[0]

@@ -513,13 +513,13 @@ def search_topk(queries, database, **kwargs) -> list[list[Hit]]:
 
 
 def search_one(query, database, **kwargs) -> list[Hit]:
-    """Top-K placements of a *single* query: the per-query serving entry.
+    """Top-K placements of a *single* query: one query in, its hit list out.
 
-    A thin wrapper over :func:`search` that the online serving front
-    (:mod:`repro.serve`) routes ``submit_search`` requests through — one
-    query in, its hit list out.  Accepts every :func:`search` keyword;
-    pass a shared ``engine`` so concurrent per-query searches reuse one
-    thread pool and plan cache instead of building their own.
+    A thin wrapper over :func:`search`, and the lone answer a coalesced
+    ``submit_search`` request of :mod:`repro.serve` must equal (the
+    service runs whole buckets through :func:`search_topk`).  Accepts
+    every :func:`search` keyword; pass a shared ``engine`` so repeated
+    searches reuse one thread pool and plan cache.
     """
     return search_topk([query], database, **kwargs)[0]
 

@@ -3,11 +3,13 @@
 The paper's throughput comes from relaxing many same-shape alignments in
 wide hardware lanes; online traffic arrives one request at a time.  The
 :class:`MicroBatcher` bridges the two regimes: concurrent requests
-accumulate in per-``(kind, priority, shape)`` buckets, and a bucket is
+accumulate in per-``(kind, priority, shape, config)`` buckets, and a bucket is
 dispatched when it reaches ``target_batch`` members *or* when its oldest
 request has lingered ``max_linger`` seconds — whichever comes first.  A
 lone request therefore never waits longer than the linger bound, while a
-burst fills whole lane blocks and pays one kernel invocation.
+burst fills whole lane blocks and pays one kernel invocation.  A search
+or map request's shape is ``(query length, 0)`` and its ``config`` is its
+resolved search/map config, so a bucket is one multi-query pass.
 
 The linger is *adaptive*: as the service backlog grows toward capacity the
 effective linger shrinks linearly (floored at ``min_linger``), so a loaded
@@ -56,14 +58,14 @@ class PendingRequest:
     """
 
     key: int  # admission ordinal (unique per service)
-    kind: str  # "score" | "align" | "search"
+    kind: str  # "score" | "align" | "search" | "map"
     query: np.ndarray  # encoded uint8 codes
-    subject: np.ndarray | None  # None for search requests
+    subject: np.ndarray | None  # None for search/map requests
     future: object  # asyncio.Future
     priority: Priority = Priority.NORMAL
     deadline: float | None = None
     submitted: float = 0.0
-    meta: dict | None = None  # kind-private context (search kwargs, ...)
+    config: object = None  # resolved search/map config (hashable); None for pairs
     trace: dict | None = None  # propagated span carrier (obs.trace)
 
     @property
@@ -74,7 +76,7 @@ class PendingRequest:
 
 @dataclass(slots=True)
 class Bucket:
-    """Same-(kind, priority, shape) requests accumulating toward a batch."""
+    """Same-(kind, priority, shape, config) requests accumulating toward a batch."""
 
     kind: str
     priority: Priority
@@ -122,7 +124,7 @@ class MicroBatcher:
 
     def add(self, req: PendingRequest, now: float) -> Bucket | None:
         """Admit one request; returns the bucket if it just became full."""
-        key = (req.kind, req.priority, req.shape)
+        key = (req.kind, req.priority, req.shape, req.config)
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = self._buckets[key] = Bucket(

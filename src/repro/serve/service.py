@@ -12,14 +12,14 @@ buckets to a small thread pool where the batch runs through
 event loop, so the loop keeps admitting while NumPy relaxes lanes.
 Per-request asyncio futures are resolved as batches complete.
 
-Searches and read mappings are single-query kinds: each runs as one call
-on a dispatch thread, against either a local ``database=``
-(:func:`repro.search.search_one` / :func:`repro.mapping.map_one`) or a
-borrowed resident :class:`~repro.shard.pool.ShardWorkerPool` given as
-``pool=`` (``pool.search_topk`` / ``pool.map_topk``).  Both modes share
-one admit → deadline-gated execute → resolve path, so every request kind
-gets the same admission, priorities, deadlines, SLO accounting and
-drain-on-close.
+Searches and read mappings are micro-batched too, keyed on query length
+and resolved config: a bucket runs as one multi-query
+:func:`repro.search.search_topk` / :func:`repro.mapping.map_reads` call
+against a local ``database=``, or as one round of a borrowed resident
+:class:`~repro.shard.pool.ShardWorkerPool` given as ``pool=``.  One
+length per bucket gives the pass a lone request's windowing, so each
+result equals the request's lone answer.  Every kind shares one admit →
+micro-batch → deadline-gated execute → resolve path.
 
 Semantics worth knowing:
 
@@ -47,7 +47,8 @@ import asyncio
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
-from dataclasses import dataclass
+from functools import partial
+from dataclasses import dataclass, replace
 
 from repro.engine.engine import ExecutionEngine
 from repro.engine.stages import Batch, Request
@@ -125,10 +126,6 @@ class DeadlineExceededError(ServiceError, TimeoutError):
     """The request's deadline passed before it reached execution."""
 
 
-#: Dispatch-thread sentinel: the request expired while queued for a thread.
-_EXPIRED = object()
-
-
 class AlignmentService:
     """Asyncio alignment service with adaptive micro-batching.
 
@@ -166,10 +163,11 @@ class AlignmentService:
     pool:
         A borrowed :class:`~repro.shard.pool.ShardWorkerPool` that serves
         ``submit_search`` / ``submit_map`` from its resident workers
-        instead (``pool.search_topk([q])`` / ``pool.map_topk([q])``).
-        Mutually exclusive with ``database``; closing the service never
-        closes the pool.  The pool serializes its calls on an internal
-        lock, so concurrent pool-served requests execute one at a time.
+        instead: each dispatched bucket is one ``pool.search_topk(queries)``
+        / ``pool.map_topk(queries)`` round.  Mutually exclusive with
+        ``database``; closing the service never closes the pool.  The pool
+        serializes its rounds on an internal lock, so concurrent requests
+        share a round rather than queue for one each.
     search_kwargs / map_kwargs:
         Default keyword arguments for ``submit_search`` / ``submit_map``.
     config:
@@ -345,9 +343,7 @@ class AlignmentService:
             return max(1, int(self.max_queue_depth * self.bulk_fraction))
         return self.max_queue_depth
 
-    def _admit(
-        self, kind, query, subject, priority, timeout, meta=None
-    ) -> PendingRequest:
+    def _admit(self, kind, query, subject, priority, timeout) -> PendingRequest:
         priority = Priority(priority)
         if self._closed:
             self.stats.note_admission_reject("closed", priority.name)
@@ -389,7 +385,6 @@ class AlignmentService:
             priority=priority,
             deadline=now + timeout if timeout is not None else None,
             submitted=now,
-            meta=meta,
         )
         self._next_key += 1
         self._depth += 1
@@ -447,15 +442,16 @@ class AlignmentService:
     ):
         """Top-K database placements for one query (needs ``database=`` or ``pool=``).
 
-        Served by :func:`repro.search.search_one` on a dispatch thread, or
-        by ``pool.search_topk`` when the service fronts a pool; searches
-        are not micro-batched (each is one call) but share admission
-        control and deadlines.  ``overrides`` update the service's default
+        Micro-batched with concurrent searches of the same length and
+        resolved config: each bucket is one :func:`repro.search.search_topk`
+        call on a dispatch thread, or one ``pool.search_topk`` round when
+        the service fronts a pool, and each request gets exactly the hits
+        it would get alone.  ``overrides`` update the service's default
         ``search_kwargs``; a custom ``scheme`` gets its own cached search
         engine, while ``engine`` is service-managed and may not be
         overridden.
         """
-        return await self._submit_single("search", query, priority, timeout, overrides)
+        return await self._submit_query("search", query, priority, timeout, overrides)
 
     async def submit_map(
         self,
@@ -467,20 +463,21 @@ class AlignmentService:
     ):
         """Read placements for one read (needs ``database=`` or ``pool=``).
 
-        Served by :func:`repro.mapping.map_one` on a dispatch thread, or by
-        ``pool.map_topk`` when the service fronts a pool; returns the
-        read's deduped placements, best first.  ``overrides`` update the
-        service's default ``map_kwargs`` (mapping fields like
-        ``k``/``traceback`` and search fields like ``min_score`` both
-        work; ``config=`` passes a whole
+        Micro-batched like :meth:`submit_search`: each bucket is one
+        :func:`repro.mapping.map_reads` call on a dispatch thread, or one
+        ``pool.map_topk`` round when the service fronts a pool; returns the
+        read's deduped placements, best first, exactly as mapped alone.
+        ``overrides`` update the service's default ``map_kwargs`` (mapping
+        fields like ``k``/``traceback`` and search fields like
+        ``min_score`` both work; ``config=`` passes a whole
         :class:`~repro.mapping.MappingConfig`).  Admission control,
         priorities, deadlines and SLO accounting are shared with every
         other request kind.
         """
-        return await self._submit_single("map", query, priority, timeout, overrides)
+        return await self._submit_query("map", query, priority, timeout, overrides)
 
-    async def _submit_single(self, kind, query, priority, timeout, overrides):
-        """Admit one search/map request and await its dispatch-thread call."""
+    async def _submit_query(self, kind, query, priority, timeout, overrides):
+        """Admit one search/map request into the batcher and await its bucket."""
         if self._database is None and self.pool is None:
             raise ValidationError("service was created without a database or pool")
         if "engine" in overrides:
@@ -488,14 +485,21 @@ class AlignmentService:
                 f"submit_{kind} cannot override 'engine': the service manages "
                 "per-scheme search engines itself"
             )
-        meta = {**self._defaults[kind], **overrides}
         tracer = get_tracer()
         with tracer.span(f"serve.submit_{kind}"):
-            req = self._admit(kind, query, None, priority, timeout, meta=meta)
+            req = self._admit(kind, query, None, priority, timeout)
             req.trace = tracer.inject()
-            task = self._loop.create_task(self._run_single(req))
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
+            try:
+                # Resolved after admission, so a bad override fails only
+                # this request; the config keys its bucket, so it must hash.
+                req.config = self._query_config(
+                    kind, {**self._defaults[kind], **overrides}
+                )
+                hash(req.config)
+            except Exception as exc:
+                self._fail(req, exc)
+            else:
+                self._enqueue(req)
             return await req.future
 
     # -- settlement -----------------------------------------------------------
@@ -543,12 +547,13 @@ class AlignmentService:
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
-    def _execute_kind(self, kind: str, shape, live: list, trace_ctx=None):
-        """Runs on a dispatch thread: final deadline gate, then the kernels.
+    def _execute_kind(self, kind: str, live: list, run, trace_ctx=None):
+        """Runs on a dispatch thread: final deadline gate, then the bucket's call.
 
         Dispatch-time admission is not enough under pool saturation — a
         batch can sit in the thread queue past its members' deadlines, and
-        the contract is that such requests never execute.  Returns
+        the contract is that such requests never execute.  ``run`` (bound
+        by :meth:`_bind`) executes the rest in one call.  Returns
         ``(executable, expired, results)``; results align with executable.
         ``trace_ctx`` is the dispatching batch span's context — dispatch
         threads don't inherit the loop's contextvars, so the parent link
@@ -564,22 +569,11 @@ class AlignmentService:
         if not executable:
             return executable, expired, ()
         tracer = get_tracer()
+        name = f"serve.execute_{kind}" if kind in ("search", "map") else "serve.execute"
         with tracer.activate(trace_ctx), tracer.span(
-            "serve.execute", kind=kind, size=len(executable)
+            name, kind=kind, size=len(executable)
         ):
-            if kind == "score":
-                batch = Batch(
-                    shape=shape,
-                    requests=[
-                        Request(key=i, query=r.query, subject=r.subject)
-                        for i, r in enumerate(executable)
-                    ],
-                )
-                results = self.engine.submit_prebatched(batch)
-            else:  # align
-                results = self.engine.align_batch(
-                    [r.query for r in executable], [r.subject for r in executable]
-                )
+            results = run(executable)
         return executable, expired, results
 
     async def _run_batch(self, kind: str, shape, live: list, cause: str):
@@ -591,16 +585,12 @@ class AlignmentService:
         if tracer.enabled:
             parent = next((r.trace for r in live if r.trace is not None), None)
         try:
+            run = self._bind(kind, shape, live[0].config)  # one config per bucket
             with tracer.span(
                 "serve.batch", parent=parent, kind=kind, cause=cause, size=len(live)
             ) as sp:
                 executable, expired, results = await self._loop.run_in_executor(
-                    self._dispatch_pool,
-                    self._execute_kind,
-                    kind,
-                    shape,
-                    live,
-                    sp.context,
+                    self._dispatch_pool, self._execute_kind, kind, live, run, sp.context
                 )
         except Exception as exc:
             for r in live:
@@ -615,6 +605,49 @@ class AlignmentService:
         for r, res in zip(executable, results):
             self._resolve(r, int(res) if kind == "score" else res)
 
+    def _bind(self, kind: str, shape, config):
+        """The one call that executes a bucket's requests (loop thread).
+
+        Search engines are looked up here because their per-scheme cache
+        is not thread-safe.  A search or map bucket is one multi-query
+        pass over the local database, or one pool round.
+        """
+        if kind == "score":
+            return lambda reqs: self.engine.submit_prebatched(
+                Batch(
+                    shape=shape,
+                    requests=[
+                        Request(key=i, query=r.query, subject=r.subject)
+                        for i, r in enumerate(reqs)
+                    ],
+                )
+            )
+        if kind == "align":
+            return lambda reqs: self.engine.align_batch(
+                [r.query for r in reqs], [r.subject for r in reqs]
+            )
+        pool, database = self.pool, self._database
+        if pool is not None and kind == "map":
+            call = partial(pool.map_topk, config=config)
+        elif pool is not None:
+            call = partial(pool.search_topk, **config.search_kwargs())
+        elif kind == "map":
+            from repro.mapping import map_reads
+
+            engine = self._engine_for_search(config.search.resolved_scheme())
+
+            def call(queries):
+                run = map_reads(queries, database, engine=engine, config=config)
+                return run.placements
+        else:
+            from repro.search.pipeline import search_topk
+
+            engine = self._engine_for_search(config.resolved_scheme())
+            call = partial(
+                search_topk, database=database, engine=engine, **config.search_kwargs()
+            )
+        return lambda reqs: call([r.query for r in reqs])
+
     def _engine_for_search(self, scheme) -> ExecutionEngine:
         """Shared per-scheme search engine (loop thread only)."""
         key = scheme.cache_key()
@@ -625,58 +658,21 @@ class AlignmentService:
             )
         return eng
 
-    def _single_call(self, req: PendingRequest):
-        """Bind one search/map request to the call that serves it (loop thread).
+    def _query_config(self, kind: str, kwargs: dict):
+        """A search/map request's resolved, hashable config (loop thread):
+        a :class:`~repro.mapping.MappingConfig`, or a
+        :class:`~repro.search.SearchConfig` over the pool's settings."""
+        if kind == "map":
+            from repro.mapping import resolve_config
 
-        Resolving kwargs and per-scheme engines happens here, on the loop,
-        because the engine cache is not thread-safe; the returned
-        zero-argument callable runs on a dispatch thread.
-        """
-        kwargs = dict(req.meta)
-        pool = self.pool
-        if req.kind == "map":
-            from repro.mapping import map_one, resolve_config
+            return resolve_config(kwargs.pop("config", None), **kwargs)
+        from repro.search.pipeline import SearchConfig
 
-            cfg = resolve_config(kwargs.pop("config", None), **kwargs)
-            if pool is not None:
-                return lambda: pool.map_topk([req.query], config=cfg)[0]
-            engine = self._engine_for_search(cfg.search.resolved_scheme())
-            return lambda: map_one(req.query, self._database, engine=engine, config=cfg)
-        from repro.search.pipeline import default_search_scheme, search_one
-
-        if pool is not None:
-            return lambda: pool.search_topk([req.query], **kwargs)[0]
-        scheme = kwargs.setdefault("scheme", default_search_scheme())
-        engine = self._engine_for_search(scheme)
-        return lambda: search_one(req.query, self._database, engine=engine, **kwargs)
-
-    def _execute_single(self, req: PendingRequest, call):
-        """Runs on a dispatch thread: deadline gate, then the bound call.
-
-        The request's propagated carrier re-enters the trace here, so the
-        search/map spans (and a pool's worker spans) nest under the
-        ``submit_*`` span even though the thread never saw the loop's
-        contextvars.
-        """
-        if req.deadline is not None and self._loop.time() >= req.deadline:
-            return _EXPIRED
-        tracer = get_tracer()
-        with tracer.activate(req.trace), tracer.span(f"serve.execute_{req.kind}"):
-            return call()
-
-    async def _run_single(self, req: PendingRequest):
+        base = self.pool.plan.search if self.pool is not None else SearchConfig()
         try:
-            call = self._single_call(req)
-            result = await self._loop.run_in_executor(
-                self._dispatch_pool, self._execute_single, req, call
-            )
-        except Exception as exc:
-            self._fail(req, exc)
-            return
-        if result is _EXPIRED:
-            self._expire(req, "execute")
-        else:
-            self._resolve(req, result)
+            return replace(base, **kwargs)
+        except TypeError as exc:  # a name SearchConfig does not have
+            raise ValidationError(f"unknown search parameter: {exc}") from None
 
     async def _flush_loop(self):
         """Single linger timer: dispatches buckets whose wait has expired."""

@@ -123,6 +123,23 @@ def planted_instance(ref_len, count, qlen, seed, divergence=0.02):
     return ref, queries, positions
 
 
+def mixed_burst(seed):
+    """A serving burst of 16 requests over one reference: 150 and 80 bp
+    reads, with ``k=3`` beside the default ``k`` — four buckets of four.
+
+    Returns ``(reference, [(read, overrides), ...])``.
+    """
+    from repro.workloads.reads import read_pairs
+
+    rs = read_pairs(8, read_length=150, reference_length=12_000, seed=seed)
+    reads = [rs.reads[i] for i in range(len(rs))]
+    burst = [
+        (read if i % 2 else read[:80], {"k": 3} if i % 4 < 2 else {})
+        for i, read in enumerate(reads + reads)
+    ]
+    return rs.reference, burst
+
+
 def hit_keys(per_query):
     """Full identity tuples of per-query hit lists, for parity assertions."""
     return [

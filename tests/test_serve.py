@@ -450,6 +450,103 @@ class TestResidentReferenceIndex:
         assert all(served)
 
 
+class TestCoalescedQueries:
+    """Concurrent searches and maps run as one multi-query pass per bucket,
+    and each request still gets exactly its lone answer."""
+
+    KWARGS = {"min_score": 120}  # 0.75 x perfect for 80 bp reads
+
+    def test_burst_matches_lone_answers_in_fewer_passes(self):
+        from repro.mapping import exhaustive_map, map_one, placement_key
+
+        from helpers import hit_keys, mixed_burst
+
+        ref, burst = mixed_burst(seed=61)
+
+        async def main():
+            async with AlignmentService(
+                database=ref,
+                search_kwargs={"k": 5, **self.KWARGS},
+                map_kwargs=self.KWARGS,
+            ) as svc:
+                hits = await asyncio.gather(
+                    *(svc.submit_search(q, **o) for q, o in burst)
+                )
+                search_batches = svc.stats.batches
+                maps = await asyncio.gather(*(svc.submit_map(q, **o) for q, o in burst))
+                return hits, maps, search_batches, svc.stats.batches - search_batches
+
+        hits, maps, search_batches, map_batches = asyncio.run(main())
+        # One bucket per (length, k) at least, and fewer passes than requests.
+        assert 4 <= search_batches < len(burst)
+        assert 4 <= map_batches < len(burst)
+        lone = [search_one(q, ref, **{"k": 5, **self.KWARGS, **o}) for q, o in burst]
+        assert hit_keys(hits) == hit_keys(lone)
+        assert any(hits)
+        for (q, o), got in zip(burst, maps):
+            want = map_one(q, ref, **{**self.KWARGS, **o})
+            assert [(placement_key(p), p.score) for p in got] == [
+                (placement_key(p), p.score) for p in want
+            ]
+        # The 80 bp default-k bucket against the full-DP mapping oracle.
+        group = [i for i, (q, o) in enumerate(burst) if q.size == 80 and not o]
+        oracle = exhaustive_map([burst[i][0] for i in group], ref, **self.KWARGS)
+        assert [[placement_key(p) for p in maps[i]] for i in group] == [
+            [placement_key(p) for p in per] for per in oracle.placements
+        ]
+
+    def test_bad_requests_fail_alone_in_a_burst(self):
+        from repro.mapping import map_one, placement_key
+
+        from helpers import hit_keys, mixed_burst
+
+        ref, burst = mixed_burst(seed=67)
+        reads = [q for q, o in burst if q.size == 150 and not o]
+
+        async def main():
+            # A long linger keeps the victim buffered while it is cancelled.
+            async with AlignmentService(
+                database=ref,
+                max_linger=0.05,
+                search_kwargs=self.KWARGS,
+                map_kwargs=self.KWARGS,
+            ) as svc:
+                good = [svc.submit_search(q) for q in reads]
+                good += [svc.submit_map(q) for q in reads]
+                bad = [
+                    svc.submit_search("ACGTACGT"),  # shorter than kmer=11
+                    svc.submit_search(reads[0], timeout=0),
+                    svc.submit_map(reads[1], bogus=1),
+                    svc.submit_search(reads[1], band=[32]),  # cannot key a bucket
+                ]
+                victim = asyncio.ensure_future(svc.submit_map(reads[2]))
+                tasks = [asyncio.ensure_future(c) for c in good + bad]
+                await asyncio.sleep(0)  # everything admitted and buffered
+                victim.cancel()
+                out = await asyncio.gather(*tasks, return_exceptions=True)
+                with pytest.raises(asyncio.CancelledError):
+                    await victim
+                return out, svc.stats.snapshot(), svc.queue_depth
+
+        out, snap, depth = asyncio.run(main())
+        hits, maps, bad = out[: len(reads)], out[len(reads) : 2 * len(reads)], out[-4:]
+        assert hit_keys(hits) == hit_keys(
+            [search_one(q, ref, **self.KWARGS) for q in reads]
+        )
+        for q, got in zip(reads, maps):
+            assert [placement_key(p) for p in got] == [
+                placement_key(p) for p in map_one(q, ref, **self.KWARGS)
+            ]
+        assert isinstance(bad[0], ValidationError) and "shorter" in str(bad[0])
+        assert isinstance(bad[1], DeadlineExceededError)
+        assert isinstance(bad[2], ValidationError) and "unknown mapping" in str(bad[2])
+        assert isinstance(bad[3], TypeError) and "unhashable" in str(bad[3])
+        assert snap["completed"] == 2 * len(reads)
+        assert snap["failed"] == 3
+        assert snap["deadline_exceeded"] == {"dispatch": 1}
+        assert depth == 0
+
+
 class TestSyncClient:
     def test_score_and_score_many_match_direct(self):
         pairs = _pairs(65, seed=17)

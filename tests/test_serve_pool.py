@@ -2,8 +2,11 @@
 
 A service given a resident :class:`~repro.shard.ShardWorkerPool` serves
 ``submit_search`` / ``submit_map`` from the pool's workers through the
-same admit → deadline-gated execute → resolve path as every other
-request kind.  Covered here:
+same admit → micro-batch → deadline-gated execute → resolve path as every
+other request kind.  Covered here:
+
+* coalescing — a burst of concurrent requests takes fewer pool rounds
+  than requests, and each still gets exactly its lone answer;
 
 * healing — a dead pool worker never gates admission: the next request
   respawns the pool and returns oracle-identical placements;
@@ -26,7 +29,7 @@ import pytest
 
 from repro.mapping import map_one, placement_key
 from repro.obs import SLObjective, SLOTracker
-from repro.search import SearchConfig, search_topk
+from repro.search import SearchConfig, search_one, search_topk
 from repro.serve import (
     AlignmentService,
     DeadlineExceededError,
@@ -37,7 +40,7 @@ from repro.shard import ShardPlan, ShardRouter, ShardWorkerPool
 from repro.util.checks import ValidationError
 from repro.workloads.reads import read_pairs
 
-from helpers import hit_keys, planted_instance
+from helpers import hit_keys, mixed_burst, planted_instance
 
 MIN_SCORE = 120  # 0.75 x perfect for 80 bp reads at match=+2
 
@@ -158,7 +161,7 @@ class TestAdmission:
             pool.start()
             expired = asyncio.run(main(pool))
             assert pool.stats.searches == 0
-        assert expired == {"execute": 1}
+        assert expired == {"dispatch": 1}  # the batcher's gate, as for scores
 
     def test_close_resolves_inflight_pool_request(self, reads):
         reads, ref = reads
@@ -176,6 +179,43 @@ class TestAdmission:
         with ShardWorkerPool(ref, plan=_plan()) as pool:
             placements = asyncio.run(main(pool))
         assert _keys(placements) == _keys(map_one(reads[0], ref, min_score=MIN_SCORE))
+
+
+class TestCoalescing:
+    def test_burst_matches_lone_answers_in_fewer_rounds(self):
+        # Concurrent requests of one length and config share one pool
+        # round; mixed lengths and overrides land in separate rounds.
+        ref, burst = mixed_burst(seed=73)
+
+        async def main(pool):
+            async with AlignmentService(
+                pool=pool,
+                search_kwargs={"k": 5, "min_score": MIN_SCORE},
+                map_kwargs={"min_score": MIN_SCORE},
+            ) as svc:
+                hits = await asyncio.gather(
+                    *(svc.submit_search(q, **o) for q, o in burst)
+                )
+                rounds = pool.stats.searches
+                maps = await asyncio.gather(*(svc.submit_map(q, **o) for q, o in burst))
+                map_rounds = pool.stats.searches - rounds
+                return hits, maps, rounds, map_rounds, svc.stats.batches
+
+        with ShardWorkerPool(ref, plan=_plan(), timeout=120) as pool:
+            pool.start()
+            hits, maps, search_rounds, map_rounds, batches = asyncio.run(main(pool))
+        assert 4 <= search_rounds < len(burst)
+        assert 4 <= map_rounds < len(burst)
+        assert batches == search_rounds + map_rounds  # one round per bucket
+        kw = {"k": 5, "min_score": MIN_SCORE}
+        lone = [search_one(q, ref, **{**kw, **o}) for q, o in burst]
+        assert hit_keys(hits) == hit_keys(lone)
+        assert any(hits)
+        for (q, o), got in zip(burst, maps):
+            want = map_one(q, ref, min_score=MIN_SCORE, **o)
+            assert [(placement_key(p), p.score) for p in got] == [
+                (placement_key(p), p.score) for p in want
+            ]
 
 
 class TestShardRouterAlias:
