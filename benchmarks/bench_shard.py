@@ -101,7 +101,7 @@ def _run_comparison(
         ) as one_shot:
             spawn_runs.append(one_shot.search_topk(queries))
     spawn_total = time.perf_counter() - t0
-    spawn_stats = one_shot.stats.last_run.snapshot()
+    spawn_stats = one_shot.stats.snapshot()["last_run"]
 
     # Mode 3: persistent pool — spawn + publish once, then warm repeats.
     plan = ShardPlan(num_shards=num_shards, search=SearchConfig(**kwargs))

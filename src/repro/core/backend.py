@@ -88,26 +88,6 @@ class BackendCapabilities:
         gap = "affine" if scheme.scoring.is_affine else "linear"
         return scheme.alignment_type in self.alignment_types and gap in self.gap_models
 
-    def matrix_row(self) -> tuple:
-        """One row of the README capability matrix."""
-        types = "/".join(
-            t.value[:4] for t in sorted(self.alignment_types, key=lambda t: t.value)
-        )
-        flags = []
-        if self.supports_traceback:
-            flags.append("traceback")
-        if self.banded:
-            flags.append("banded")
-        if self.lane_batching:
-            flags.append("lanes")
-        if self.threaded:
-            flags.append("threads")
-        if self.simulated:
-            flags.append("simulated")
-        if self.comparator:
-            flags.append("comparator")
-        return (self.name, self.kind, types, "/".join(sorted(self.gap_models)), " ".join(flags))
-
 
 @runtime_checkable
 class Backend(Protocol):

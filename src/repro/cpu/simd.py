@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.aligner import register_backend
-from repro.core.banded import banded_score, banded_score_lanes
 from repro.core.kernels import score_lanes, score_rowscan
 from repro.core.scoring import default_scheme, max_block_differential
 from repro.core.types import AlignmentScheme
@@ -106,42 +105,6 @@ class SimdBatchAligner:
             )
         for k in range(full, count):
             out[k] = score_rowscan(q[k], s[k], self.scheme, dtype=np.int32)
-        return out
-
-    def score_banded_batch(
-        self, queries: np.ndarray, subjects: np.ndarray, band: int, widen: bool = False
-    ) -> np.ndarray:
-        """Banded scores for a same-shape batch, lane-blocked like score_batch.
-
-        Full blocks of ``preset.lanes`` run the (scheme, band)-specialized
-        lane kernel in the preset's score width; the trailing partial block
-        falls back to the shared scalar banded sweep.
-        """
-        q = np.ascontiguousarray(queries, dtype=np.uint8)
-        s = np.ascontiguousarray(subjects, dtype=np.uint8)
-        if q.ndim != 2 or s.ndim != 2 or q.shape[0] != s.shape[0]:
-            raise ValidationError("expected (count, n) and (count, m) batches")
-        count = q.shape[0]
-        extent = max(q.shape[1], s.shape[1])
-        if extent > self.preset.max_safe_extent(self.scheme):
-            raise ValidationError(
-                f"{self.preset.name} lanes ({np.dtype(self.preset.dtype).name}) "
-                f"overflow at extent {extent}; split into smaller blocks"
-            )
-        lanes = self.preset.lanes
-        out = np.empty(count, dtype=np.int64)
-        full = count - count % lanes if lanes > 1 else 0
-        for off in range(0, full, lanes):
-            out[off : off + lanes] = banded_score_lanes(
-                q[off : off + lanes],
-                s[off : off + lanes],
-                self.scheme,
-                band,
-                widen=widen,
-                dtype=self.preset.dtype,
-            )
-        for k in range(full, count):
-            out[k] = banded_score(q[k], s[k], self.scheme, band, widen=widen)
         return out
 
     def score_pairs(self, pairs) -> np.ndarray:

@@ -217,16 +217,25 @@ class PipelineStats:
         t = self.stages["execute"].seconds
         return self.cells_computed / t / 1e9 if t else 0.0
 
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_lock"]  # a lock does not pickle; each copy makes its own
+        return state
+
+    def __setstate__(self, state: dict):
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
     def merge(self, other: "PipelineStats"):
         for name, st in other.stages.items():
             self.stages.setdefault(name, StageStats()).merge(st)
-        for f in _PIPELINE_COUNTER_FIELDS:
+        for f in _PIPELINE_COUNTERS:
             setattr(self, f, getattr(self, f) + getattr(other, f))
         self.max_buffered = max(self.max_buffered, other.max_buffered)
 
     def as_dict(self) -> dict:
         """JSON-ready form for `perf.report.snapshot` / bench artifacts."""
-        d = {f: getattr(self, f) for f in _PIPELINE_COUNTER_FIELDS}
+        d = {f: getattr(self, f) for f in _PIPELINE_COUNTERS}
         d["max_buffered"] = self.max_buffered
         d["rejection_rate"] = self.rejection_rate
         d["gcups"] = self.gcups
@@ -234,21 +243,31 @@ class PipelineStats:
         return d
 
 
-#: Additive PipelineStats fields (merge + metrics deltas read this).
-_PIPELINE_COUNTER_FIELDS = (
-    "items_in",
-    "candidates",
-    "admitted",
-    "rejected",
-    "batches",
-    "lane_blocks",
-    "scalar_pops",
-    "pairs",
-    "cells_computed",
-    "cells_skipped_band",
-    "cells_skipped_prefilter",
-    "flushes",
-)
+#: Additive PipelineStats fields, each with the counter its per-run delta
+#: folds into as ``(metric, extra labels)`` — None for a field kept on the
+#: ledger only.  ``merge``, ``as_dict`` and the metrics fold all read it.
+_PIPELINE_COUNTERS = {
+    "items_in": None,
+    "candidates": None,
+    "admitted": ("pipeline_requests_total", {"disposition": "admitted"}),
+    "rejected": ("pipeline_requests_total", {"disposition": "rejected"}),
+    "batches": ("pipeline_batches_total", {}),
+    "lane_blocks": None,
+    "scalar_pops": None,
+    "pairs": ("pipeline_pairs_total", {}),
+    "cells_computed": ("pipeline_cells_total", {"kind": "computed"}),
+    "cells_skipped_band": ("pipeline_cells_total", {"kind": "skipped_band"}),
+    "cells_skipped_prefilter": ("pipeline_cells_total", {"kind": "skipped_prefilter"}),
+    "flushes": ("pipeline_flushes_total", {}),
+}
+
+_PIPELINE_COUNTER_HELP = {
+    "pipeline_requests_total": "Prefilter dispositions of candidate requests",
+    "pipeline_batches_total": "Batches executed",
+    "pipeline_pairs_total": "Requests executed",
+    "pipeline_cells_total": "DP cells relaxed or skipped, by cause",
+    "pipeline_flushes_total": "Backpressure-forced batcher flushes",
+}
 
 
 def execute_timer(pipeline: str, stage: str, **attrs) -> timed:
@@ -426,7 +445,7 @@ class StreamPipeline:
         st = self.stats
         reg = get_registry()
         if reg.enabled:
-            base = {f: getattr(st, f) for f in _PIPELINE_COUNTER_FIELDS}
+            base = {f: getattr(st, f) for f in _PIPELINE_COUNTERS}
             depth_gauge = reg.gauge(
                 "pipeline_buffered_requests",
                 "Requests currently buffered in the batcher (backpressure queue depth)",
@@ -512,37 +531,14 @@ class StreamPipeline:
         Deltas (not absolutes) so shared/merged stats objects and repeated
         runs never double-count.
         """
-        st = self.stats
-        d = {f: getattr(st, f) - base[f] for f in _PIPELINE_COUNTER_FIELDS}
-        label = self.trace_name
-        req = reg.counter(
-            "pipeline_requests_total",
-            "Prefilter dispositions of candidate requests",
-            labels=("pipeline", "disposition"),
-        )
-        req.inc(d["admitted"], pipeline=label, disposition="admitted")
-        req.inc(d["rejected"], pipeline=label, disposition="rejected")
-        reg.counter(
-            "pipeline_pairs_total", "Requests executed", labels=("pipeline",)
-        ).inc(d["pairs"], pipeline=label)
-        reg.counter(
-            "pipeline_batches_total", "Batches executed", labels=("pipeline",)
-        ).inc(d["batches"], pipeline=label)
-        cells = reg.counter(
-            "pipeline_cells_total",
-            "DP cells relaxed or skipped, by cause",
-            labels=("pipeline", "kind"),
-        )
-        cells.inc(d["cells_computed"], pipeline=label, kind="computed")
-        cells.inc(d["cells_skipped_band"], pipeline=label, kind="skipped_band")
-        cells.inc(
-            d["cells_skipped_prefilter"], pipeline=label, kind="skipped_prefilter"
-        )
-        reg.counter(
-            "pipeline_flushes_total",
-            "Backpressure-forced batcher flushes",
-            labels=("pipeline",),
-        ).inc(d["flushes"], pipeline=label)
+        for f, counter in _PIPELINE_COUNTERS.items():
+            if counter is None:
+                continue
+            name, extra = counter
+            delta = getattr(self.stats, f) - base[f]
+            reg.counter(
+                name, _PIPELINE_COUNTER_HELP[name], labels=("pipeline", *extra)
+            ).inc(delta, pipeline=self.trace_name, **extra)
 
     def drain(self) -> PipelineStats:
         """Run to completion discarding emissions; returns the stats."""

@@ -46,13 +46,6 @@ class PerfCounters:
         for f in self.__dataclass_fields__:
             setattr(self, f, getattr(self, f) + getattr(other, f))
 
-    @property
-    def lane_utilization(self) -> float:
-        """Fraction of lane-steps doing useful work (head/tail phases idle)."""
-        if self.diag_steps == 0:
-            return 0.0
-        return self.cells / self.diag_steps  # per-lane steps counted below
-
 
 @dataclass(frozen=True)
 class DeviceModel:

@@ -112,15 +112,6 @@ class ExtendStats:
     def cells(self) -> int:
         return self.cells_banded + self.cells_full
 
-    def add(self, other: "ExtendStats") -> None:
-        self.hits += other.hits
-        self.banded += other.banded
-        self.fallback_score += other.fallback_score
-        self.fallback_edge += other.fallback_edge
-        self.full += other.full
-        self.cells_banded += other.cells_banded
-        self.cells_full += other.cells_full
-
 
 def _result_to_placement(res, hit, query_id, strand, qlen, window_offset) -> Placement:
     ops = from_alignment(res, qlen)

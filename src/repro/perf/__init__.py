@@ -10,7 +10,6 @@ from repro.perf.report import (
     mapping_stats_table,
     pipeline_stats_table,
     service_stats_table,
-    shard_stats_table,
     snapshot,
     trace_tree,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "mapping_stats_table",
     "pipeline_stats_table",
     "service_stats_table",
-    "shard_stats_table",
     "snapshot",
     "trace_tree",
     "Measurement",

@@ -18,7 +18,6 @@ __all__ = [
     "mapping_stats_table",
     "pipeline_stats_table",
     "service_stats_table",
-    "shard_stats_table",
     "pool_stats_table",
     "trace_tree",
     "snapshot",
@@ -239,59 +238,6 @@ def service_stats_table(service_or_stats, title: str = "Alignment service") -> s
     return out
 
 
-def shard_stats_table(run_stats, title: str = "Sharded search") -> str:
-    """Per-shard work rows plus the round's totals.
-
-    ``run_stats`` is a :class:`repro.shard.stats.ShardRunStats`.  The
-    per-shard rows show how evenly the round-robin chunk assignment spread
-    the work (chunks owned, pairs verified, cells relaxed); the summary
-    sums them and says whether resident workers served the round.  Where
-    the time went is in the spans (``worker.{op}``, ``pool.command``,
-    ``pool.merge``/``map.dedup``, ``pool.spawn``) and the
-    ``pool_shard_*`` metrics.
-    """
-    rows = [
-        (
-            w.shard_id,
-            w.chunks,
-            w.candidates,
-            w.admitted,
-            w.pairs,
-            w.cells_computed,
-            w.hits,
-        )
-        for w in run_stats.workers
-    ]
-    out = format_table(
-        (
-            "shard",
-            "chunks",
-            "candidates",
-            "admitted",
-            "pairs",
-            "cells",
-            "hits",
-        ),
-        rows,
-        title=f"{title} ({run_stats.num_shards} shards)",
-    )
-    totals = run_stats.totals()
-    summary = format_table(
-        ("metric", "value"),
-        [
-            ("chunks scanned", totals["chunks"]),
-            ("candidate pairs", totals["candidates"]),
-            ("pairs verified", totals["pairs"]),
-            ("cells computed", totals["cells_computed"]),
-            ("cells skipped", totals["cells_skipped"]),
-            ("served by", "warm resident workers" if run_stats.warm
-             else "cold workers (spawned this run)"),
-        ],
-        title="Run accounting",
-    )
-    return out + "\n\n" + summary
-
-
 def pool_stats_table(pool_or_stats, title: str = "Shard worker pool") -> str:
     """Residency/reuse accounting for a persistent shard worker pool.
 
@@ -299,12 +245,13 @@ def pool_stats_table(pool_or_stats, title: str = "Shard worker pool") -> str:
     its :class:`repro.shard.stats.PoolStats`.  The headline numbers are
     the ones the pool exists for: how many rounds were served warm (no
     spawn, no payload transfer) and how small the one-time shared-memory
-    publication is.  Spawn and swap times are the ``pool.spawn`` /
-    ``pool.swap`` spans.
+    publication is.  The last round's per-shard rows show how evenly chunk
+    ownership spread the work.  Spawn and swap times are the
+    ``pool.spawn`` / ``pool.swap`` spans.
     """
     stats = getattr(pool_or_stats, "stats", pool_or_stats)
-    snap = stats.snapshot()
-    payload = snap["payload_bytes"]
+    snap = stats.as_dict()
+    last = snap["last_run"]
     rows = [
         ("shards", snap["num_shards"]),
         ("command rounds (warm / cold)",
@@ -312,11 +259,18 @@ def pool_stats_table(pool_or_stats, title: str = "Shard worker pool") -> str:
         ("reference swaps", snap["swaps"]),
         ("worker spawns (respawns)", f"{snap['spawns']} ({snap['respawns']})"),
         ("payload transport", snap["transport"]),
-        ("published payload (bytes)", payload),
+        ("published payload (bytes)", snap["payload_bytes"]),
     ]
     out = format_table(("metric", "value"), rows, title=title)
-    if snap["last_run"] is not None and stats.last_run is not None:
-        out += "\n\n" + shard_stats_table(stats.last_run, title="Last run")
+    if last is not None:
+        shard_rows = [list(row.values()) for row in last["workers"]]
+        shard_rows.append(["total", *last["totals"].values()])
+        warmth = "warm" if last["warm"] else "cold, spawned this round"
+        out += "\n\n" + format_table(
+            ("shard", *last["totals"]),
+            shard_rows,
+            title=f"Last round ({last['num_shards']} shards, {warmth})",
+        )
     return out
 
 

@@ -113,10 +113,5 @@ class DynamicWavefrontScheduler:
             self._wakeup.notify_all()
 
     @property
-    def ready_count(self) -> int:
-        with self._lock:
-            return self._ready_count
-
-    @property
     def done(self) -> bool:
         return self.graph.done

@@ -143,6 +143,3 @@ class TileGraph:
     @property
     def done(self) -> bool:
         return len(self.completed) == len(self.tiles)
-
-    def max_diagonal(self) -> int:
-        return max(g.nti + g.ntj - 2 for g in self.grids.values())

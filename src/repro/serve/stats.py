@@ -202,10 +202,6 @@ class ServiceStats:
         return sum(size * count for size, count in self.occupancy.items())
 
     @property
-    def total_rejected(self) -> int:
-        return sum(self.rejected.values())
-
-    @property
     def mean_occupancy(self) -> float:
         occ = self.occupancy
         batches = sum(occ.values())

@@ -30,7 +30,7 @@ from repro.shard.plan import (
 from repro.shard.pool import ShardError, ShardWorkerError, ShardWorkerPool
 from repro.shard.router import ShardRouter
 from repro.shard.shm import SharedReferenceMeta, SharedSegment, publish_records
-from repro.shard.stats import PoolStats, ShardRunStats, ShardWorkerStats
+from repro.shard.stats import PoolStats
 from repro.shard.worker import run_pool_worker, shard_engine_workers
 
 __all__ = [
@@ -39,10 +39,8 @@ __all__ = [
     "ShardError",
     "ShardPlan",
     "ShardRouter",
-    "ShardRunStats",
     "ShardWorkerError",
     "ShardWorkerPool",
-    "ShardWorkerStats",
     "SharedRecordPayload",
     "SharedReferenceMeta",
     "SharedSegment",

@@ -62,7 +62,7 @@ from repro.obs import ClockOffset, get_registry, get_tracer
 from repro.search.pipeline import SearchConfig
 from repro.search.topk import Hit, TopKReducer
 from repro.shard.plan import ShardPlan, build_pool_payloads
-from repro.shard.stats import PoolStats, ShardRunStats
+from repro.shard.stats import PoolStats
 from repro.shard.worker import run_pool_worker
 from repro.util.checks import ReproError, ValidationError, check_positive
 from repro.util.encoding import encode
@@ -451,7 +451,7 @@ class ShardWorkerPool:
         ) as sp, self._lock:
             cold = self._ensure_workers() or self._cold_pending
             self._cold_pending = False
-            run = ShardRunStats(num_shards=self.num_shards, warm=not cold)
+            mode = "cold" if cold else "warm"
             seq = self._next_seq()
             deadline = self._deadline(timeout)
             # Workers trace under the round span's position, shipped as a
@@ -460,20 +460,11 @@ class ShardWorkerPool:
             messages = self._gather(
                 op, seq, enc_queries, search_cfg, map_cfg, deadline, wcarrier
             )
-            for _, ws in messages:
-                run.add(ws)
             merged = merge([results for results, _ in messages])
-            self.stats.searches += 1
-            if run.warm:
-                self.stats.warm_searches += 1
-            else:
-                self.stats.cold_searches += 1
-            self.stats.last_run = run
+            self.stats.record_round(mode, [shipped for _, shipped in messages])
             reg = get_registry()
             if reg.enabled:
-                reg.counter(counter, counter_help, labels=("mode",)).inc(
-                    mode="warm" if run.warm else "cold"
-                )
+                reg.counter(counter, counter_help, labels=("mode",)).inc(mode=mode)
             return merged
 
     def swap_reference(self, database) -> None:
@@ -852,25 +843,21 @@ class ShardWorkerPool:
                 raise ShardWorkerError(f"shard {msg[1]} worker raised:\n{msg[3]}")
             if msg[0] != "ok":
                 continue
-            _, shard_id, _, results, ws, done_ts = msg[:6]
-            obs = msg[6] if len(msg) > 6 else None
+            _, shard_id, _, results, ledger, hits, done_ts, obs = msg
             # CLOCK_MONOTONIC is system-wide, so the worker's reply stamp
             # compares across processes on one host: transfer plus time
             # spent behind other shards' results.
             wait = max(0.0, time.monotonic() - done_ts)
-            if obs is not None:
-                if obs.get("metrics") and reg.enabled:
-                    reg.merge(obs["metrics"])
-                if obs.get("spans") and tracer.enabled:
-                    tracer.ingest(
-                        obs["spans"], offset=self._clock_offsets.get(shard_id)
-                    )
+            if obs["metrics"] and reg.enabled:
+                reg.merge(obs["metrics"])
+            if obs["spans"] and tracer.enabled:
+                tracer.ingest(obs["spans"], offset=self._clock_offsets.get(shard_id))
             rt = rt_spans.pop(shard_id, None)
             if rt is not None:
                 rt.set(queue_wait_s=round(wait, 6)).finish()
             if reg.enabled:
                 wait_gauge.set(wait, shard=shard_id)
-            messages[shard_id] = (results, ws)
+            messages[shard_id] = (results, (ledger, hits))
             inflight.discard(shard_id)
         return [messages[i] for i in sorted(messages)]
 

@@ -32,7 +32,9 @@ reply carries ``(tag, shard_id, seq, ..., done_ts)`` on the shared result
 queue, where ``seq`` echoes the command's sequence number so the parent
 can discard stale replies after a failed run).  Work commands share one
 shape, ``(op, seq, queries, search_cfg, map_cfg, carrier)``, and one
-reply, ``("ok", shard_id, seq, results, ShardWorkerStats, ts, obs)``.
+reply, ``("ok", shard_id, seq, results, ledger, hits, ts, obs)``, where
+``ledger`` is the shard run's :class:`~repro.engine.stages.PipelineStats`
+and ``hits`` the number of results it returns.
 ``search_cfg`` is a resolved :class:`~repro.search.pipeline.SearchConfig`
 whose windowing the shard view maps its hits onto.  ``carrier`` (None =
 untraced) is a propagated trace position: the worker traces the command
@@ -81,7 +83,6 @@ from dataclasses import replace
 from repro.obs import MetricsRegistry, get_registry, get_tracer, timed
 from repro.search.pipeline import search
 from repro.shard.plan import ShardPlan
-from repro.shard.stats import ShardWorkerStats
 
 __all__ = ["run_pool_worker", "shard_engine_workers"]
 
@@ -130,7 +131,7 @@ def _detach(resident) -> None:
 
 
 def _work(resident, engine, plan: ShardPlan, shard_id: int, tracer, cmd):
-    """One search or map command: ``(results, ShardWorkerStats)``.
+    """One search or map command: ``(results, PipelineStats, hits)``.
 
     A function of its own so the shard view, which holds views into the
     shared segment, is released when the command ends, not when the next
@@ -172,7 +173,7 @@ def _work(resident, engine, plan: ShardPlan, shard_id: int, tracer, cmd):
             results = run.topk()
             pstats = run.stats
             count = sum(len(hits) for hits in results)
-    return results, ShardWorkerStats.from_pipeline(shard_id, pstats, hits=count)
+    return results, pstats, count
 
 
 def run_pool_worker(plan: ShardPlan, shard_id: int, payload, cmd_q, out_q) -> None:
@@ -219,7 +220,7 @@ def run_pool_worker(plan: ShardPlan, shard_id: int, payload, cmd_q, out_q) -> No
                     carrier = cmd[5]
                     if carrier is not None:
                         tracer.enable()
-                    results, stats = _work(resident, engine, plan, shard_id, tracer, cmd)
+                    work = _work(resident, engine, plan, shard_id, tracer, cmd)
                     spans = []
                     if carrier is not None:
                         spans = [s.to_tuple() for s in tracer.drain()]
@@ -238,9 +239,7 @@ def run_pool_worker(plan: ShardPlan, shard_id: int, payload, cmd_q, out_q) -> No
                         "spans": spans,
                         "wall": time.time(),
                     }
-                    out_q.put(
-                        ("ok", shard_id, seq, results, stats, time.monotonic(), obs)
-                    )
+                    out_q.put(("ok", shard_id, seq, *work, time.monotonic(), obs))
                 else:
                     raise ValueError(f"unknown pool command {op!r}")
             except BaseException:

@@ -439,18 +439,19 @@ class TestSnapshotAggregation:
         assert "pipelines" in json.loads(text)
 
     def test_stats_as_dict_are_json_ready(self):
+        from repro.engine.stages import PipelineStats
         from repro.serve.stats import ServiceStats
-        from repro.shard.stats import PoolStats, ShardRunStats, ShardWorkerStats
+        from repro.shard.stats import PoolStats
 
-        ws = ShardWorkerStats(shard_id=0, pairs=4, hits=2)
-        rs = ShardRunStats(num_shards=1)
-        rs.add(ws)
+        ledger = PipelineStats(pairs=4)
         ps = PoolStats(num_shards=1)
-        ps.last_run = rs
-        for obj in (ws, rs, ps, ServiceStats()):
+        ps.record_round("cold", [(ledger, 2)])
+        for obj in (ledger, ps, ServiceStats()):
             json.dumps(obj.as_dict())
-        assert rs.as_dict()["workers"][0]["pairs"] == 4
+        assert ps.as_dict()["last_run"]["workers"][0]["pairs"] == 4
         assert ps.as_dict()["last_run"]["totals"]["hits"] == 2
+        assert ps.snapshot()["last_run"]["warm"] is False
+        assert "workers" not in ps.snapshot()["last_run"]
 
 
 # -- cross-process propagation ----------------------------------------------
@@ -556,6 +557,83 @@ class TestOneClock:
         assert observed["sum"] * 1e6 == pytest.approx(
             sum(s.dur_us for s in verifies), abs=1.0
         )
+
+
+# -- one ledger: pool accounting and worker-shipped counters agree ----------
+def _counted(delta: dict, name: str, **labels) -> int:
+    """Sum of a counter delta's series whose labels include ``labels``."""
+    entry = delta.get(name)
+    if entry is None:
+        return 0
+    want = {k: str(v) for k, v in labels.items()}
+    return sum(
+        value
+        for key, value in entry["series"].items()
+        if want.items() <= dict(zip(entry["labels"], key)).items()
+    )
+
+
+class TestOneLedger:
+    def _assert_parity(self, pool, delta):
+        totals = pool.stats.snapshot()["last_run"]["totals"]
+        assert totals["pairs"] > 0
+        assert totals["pairs"] == _counted(
+            delta, "pipeline_pairs_total", pipeline="search"
+        )
+        assert totals["batches"] == _counted(delta, "pipeline_batches_total")
+        assert totals["admitted"] == _counted(
+            delta, "pipeline_requests_total", disposition="admitted"
+        )
+        assert totals["cells_computed"] == _counted(
+            delta, "pipeline_cells_total", kind="computed"
+        )
+        assert totals["hits"] == _counted(delta, "search_hits_total")
+        text = pool.report()
+        # The first round after start() pays the spawn.
+        title = "Last round (2 shards, cold, spawned this round)"
+        assert title in text
+        # One row per shard (plus the total row) under the header rule.
+        rows = text.split(title)[1].strip().splitlines()[3:]
+        assert [r.split()[0] for r in rows] == ["0", "1", "total"]
+        return totals
+
+    def test_pool_ledgers_match_shipped_counters(self):
+        ref, queries, _ = planted_instance(8000, 3, 80, seed=81)
+        rs = read_pairs(4, read_length=60, reference_length=6000, seed=82)
+        reads = [rs.reads[i] for i in range(len(rs))]
+        reg = get_registry()
+        with ShardWorkerPool(ref, plan=_plan(k=3), timeout=120) as pool:
+            pool.start()
+            before = reg.snapshot()
+            pool.search_topk(queries)
+            self._assert_parity(pool, MetricsRegistry.diff(before, reg.snapshot()))
+        with ShardWorkerPool(rs.reference, plan=_plan(), timeout=120) as pool:
+            pool.start()
+            before = reg.snapshot()
+            pool.map_topk(reads, min_score=90)
+            delta = MetricsRegistry.diff(before, reg.snapshot())
+            totals = self._assert_parity(pool, delta)
+        assert totals["hits"] == _counted(delta, "mapping_extend_total")
+
+    def test_pipeline_stats_pickle_round_trip(self):
+        import pickle
+
+        from repro.engine.stages import _PIPELINE_COUNTERS
+
+        ref, queries, _ = planted_instance(6000, 3, 60, seed=83)
+        run = search(queries, ref, k=3, window=120, overlap=76)
+        run.topk()
+        ledger = run.stats
+        assert ledger.pairs > 0
+        copy = pickle.loads(pickle.dumps(ledger))
+        for f in (*_PIPELINE_COUNTERS, "max_buffered"):
+            assert getattr(copy, f) == getattr(ledger, f), f
+        assert copy.stages == ledger.stages
+        assert copy._lock is not ledger._lock
+        with copy._lock:
+            copy.merge(ledger)
+        assert copy.pairs == 2 * ledger.pairs
+        assert copy.stages["execute"].calls == 2 * ledger.stages["execute"].calls
 
 
 # -- Prometheus text-format conformance --------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from repro.engine import EngineConfig, ExecutionEngine
 from repro.obs import get_registry
 from repro.obs.slo import SLObjective
-from repro.perf import shard_stats_table
+from repro.perf.report import pool_stats_table
 from repro.search import (
     ReferenceIndex,
     ReferenceShard,
@@ -261,10 +261,10 @@ class TestShardedSearch:
             with ShardWorkerPool(ref, num_shards=4, k=5, timeout=300) as pool:
                 assert pool.plan.start_method == "spawn"
                 got = pool.search_topk(queries)
-                stats = pool.stats.last_run
+                stats = pool.stats
         assert _hit_keys(got) == _hit_keys(single)
-        assert len(stats.workers) == 4
-        assert stats.totals()["pairs"] > 0
+        assert len(stats.as_dict()["last_run"]["workers"]) == 4
+        assert stats.snapshot()["last_run"]["totals"]["pairs"] > 0
         # Each shard's reply-queue dwell: a pool.command span attribute and
         # the per-shard gauge.
         commands = [s for s in spans if s.name == "pool.command"]
@@ -272,7 +272,7 @@ class TestShardedSearch:
         assert all(s.attrs["queue_wait_s"] >= 0.0 for s in commands)
         wait = get_registry().get("pool_shard_queue_wait_seconds").series()
         assert all(wait[(str(i),)] >= 0.0 for i in range(4))
-        assert "Sharded search (4 shards)" in shard_stats_table(stats)
+        assert "Last round (4 shards, cold, spawned this round)" in pool_stats_table(stats)
 
     def test_single_shard_degenerate(self):
         ref, queries = _planted_instance(12000, 4, 80, seed=22)
