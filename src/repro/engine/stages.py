@@ -244,29 +244,28 @@ class PipelineStats:
 
 
 #: Additive PipelineStats fields, each with the counter its per-run delta
-#: folds into as ``(metric, extra labels)`` — None for a field kept on the
-#: ledger only.  ``merge``, ``as_dict`` and the metrics fold all read it.
+#: folds into as ``(metric, help, extra labels)`` — None for a field kept
+#: on the ledger only.  ``merge``, ``as_dict`` and the metrics fold all
+#: read it.
+_REQUESTS_HELP = "Prefilter dispositions of candidate requests"
+_CELLS_HELP = "DP cells relaxed or skipped, by cause"
 _PIPELINE_COUNTERS = {
     "items_in": None,
     "candidates": None,
-    "admitted": ("pipeline_requests_total", {"disposition": "admitted"}),
-    "rejected": ("pipeline_requests_total", {"disposition": "rejected"}),
-    "batches": ("pipeline_batches_total", {}),
+    "admitted": ("pipeline_requests_total", _REQUESTS_HELP, {"disposition": "admitted"}),
+    "rejected": ("pipeline_requests_total", _REQUESTS_HELP, {"disposition": "rejected"}),
+    "batches": ("pipeline_batches_total", "Batches executed", {}),
     "lane_blocks": None,
     "scalar_pops": None,
-    "pairs": ("pipeline_pairs_total", {}),
-    "cells_computed": ("pipeline_cells_total", {"kind": "computed"}),
-    "cells_skipped_band": ("pipeline_cells_total", {"kind": "skipped_band"}),
-    "cells_skipped_prefilter": ("pipeline_cells_total", {"kind": "skipped_prefilter"}),
-    "flushes": ("pipeline_flushes_total", {}),
-}
-
-_PIPELINE_COUNTER_HELP = {
-    "pipeline_requests_total": "Prefilter dispositions of candidate requests",
-    "pipeline_batches_total": "Batches executed",
-    "pipeline_pairs_total": "Requests executed",
-    "pipeline_cells_total": "DP cells relaxed or skipped, by cause",
-    "pipeline_flushes_total": "Backpressure-forced batcher flushes",
+    "pairs": ("pipeline_pairs_total", "Requests executed", {}),
+    "cells_computed": ("pipeline_cells_total", _CELLS_HELP, {"kind": "computed"}),
+    "cells_skipped_band": ("pipeline_cells_total", _CELLS_HELP, {"kind": "skipped_band"}),
+    "cells_skipped_prefilter": (
+        "pipeline_cells_total",
+        _CELLS_HELP,
+        {"kind": "skipped_prefilter"},
+    ),
+    "flushes": ("pipeline_flushes_total", "Backpressure-forced batcher flushes", {}),
 }
 
 
@@ -534,11 +533,11 @@ class StreamPipeline:
         for f, counter in _PIPELINE_COUNTERS.items():
             if counter is None:
                 continue
-            name, extra = counter
+            name, help_, extra = counter
             delta = getattr(self.stats, f) - base[f]
-            reg.counter(
-                name, _PIPELINE_COUNTER_HELP[name], labels=("pipeline", *extra)
-            ).inc(delta, pipeline=self.trace_name, **extra)
+            reg.counter(name, help_, labels=("pipeline", *extra)).inc(
+                delta, pipeline=self.trace_name, **extra
+            )
 
     def drain(self) -> PipelineStats:
         """Run to completion discarding emissions; returns the stats."""

@@ -38,8 +38,16 @@ _ROW_FIELDS = {
 
 #: Lifetime counts :meth:`PoolStats.snapshot` reports beside ``last_run``.
 _SNAPSHOT_KEYS = (
-    "num_shards", "searches", "cold_searches", "warm_searches", "spawns",
-    "respawns", "swaps", "pings", "payload_bytes", "transport",
+    "num_shards",
+    "searches",
+    "cold_searches",
+    "warm_searches",
+    "spawns",
+    "respawns",
+    "swaps",
+    "pings",
+    "payload_bytes",
+    "transport",
 )
 
 
@@ -59,31 +67,46 @@ class PoolStats:
     pings: int = 0
     payload_bytes: int = 0  # resident segment size (0 = pickled chunk lists)
     transport: str = "shared_memory"  # or "pickle" for chunk databases
-    last_warm: bool | None = None  # last round's warmth (None before any)
-    last_ledgers: list = field(default_factory=list)  # (PipelineStats, hits)
+    # Last round's (warm, [(PipelineStats, hits) per shard]); None before any.
+    last_round: tuple[bool, list] | None = None
 
-    # Rounds served (search_topk and map_topk), by resident workers, and
-    # paying the spawn (the first after start or a respawn).
-    searches = property(lambda self: self.rounds.total())
-    warm_searches = property(lambda self: self.rounds["warm"])
-    cold_searches = property(lambda self: self.rounds["cold"])
+    @property
+    def searches(self) -> int:
+        """Command rounds served (search_topk and map_topk)."""
+        return self.rounds.total()
+
+    @property
+    def warm_searches(self) -> int:
+        """Rounds served by resident workers."""
+        return self.rounds["warm"]
+
+    @property
+    def cold_searches(self) -> int:
+        """Rounds that paid the spawn (the first after start or a respawn)."""
+        return self.rounds["cold"]
 
     def record_round(self, mode: str, ledgers: list) -> None:
         """One ``"warm"``/``"cold"`` round's ``(ledger, hits)`` per shard."""
         self.rounds[mode] += 1
-        self.last_warm = mode == "warm"
-        self.last_ledgers = ledgers
+        self.last_round = (mode == "warm", ledgers)
 
-    def snapshot(self, rows: bool = False) -> dict:
-        """JSON-shaped copy (bench files, pool residency tables);
-        ``rows`` adds the last round's per-shard ``workers`` rows."""
+    def snapshot(self) -> dict:
+        """JSON-shaped copy (bench files, pool residency tables)."""
+        out = self.as_dict()
+        if out["last_run"] is not None:
+            del out["last_run"]["workers"]
+        return out
+
+    def as_dict(self) -> dict:
+        """JSON-ready form: :meth:`snapshot` plus the last round's per-shard rows."""
         last = None
-        if self.last_warm is not None:
+        if self.last_round is not None:
+            warm, ledgers = self.last_round
             workers = [
                 {"shard_id": shard_id}
                 | {key: getattr(ps, attr) for key, attr in _ROW_FIELDS.items()}
                 | {"hits": hits}
-                for shard_id, (ps, hits) in enumerate(self.last_ledgers)
+                for shard_id, (ps, hits) in enumerate(ledgers)
             ]
             last = {
                 "num_shards": self.num_shards,
@@ -91,12 +114,7 @@ class PoolStats:
                 "totals": {
                     key: sum(w[key] for w in workers) for key in (*_ROW_FIELDS, "hits")
                 },
-                "warm": self.last_warm,
+                "warm": warm,
+                "workers": workers,
             }
-            if rows:
-                last["workers"] = workers
         return {key: getattr(self, key) for key in _SNAPSHOT_KEYS} | {"last_run": last}
-
-    def as_dict(self) -> dict:
-        """JSON-ready form: :meth:`snapshot` with the per-shard rows."""
-        return self.snapshot(rows=True)

@@ -288,7 +288,7 @@ class TestPoolLifecycle:
         assert pool.closed and pool.liveness() is None  # nothing resident
         assert not _shm_entries()
         assert hit_keys(got) == hit_keys(search_topk(queries, ref, k=3))
-        assert pool.stats.last_warm is False
+        assert pool.stats.last_round[0] is False
         # The lazy start paid the spawn inside the round, as one region.
         (round_span,) = [s for s in spans if s.name == "pool.search_topk"]
         (spawn,) = [s for s in spans if s.name == "pool.spawn"]
@@ -356,10 +356,10 @@ class TestPoolReuse:
             # Healing is all-or-nothing (the shared result queue is
             # rebuilt, so every worker respawns, not just the dead one).
             assert pool.stats.respawns == pool.num_shards
-            assert pool.stats.last_warm is False  # respawn = cold again
+            assert pool.stats.last_round[0] is False  # respawn = cold again
             third = pool.search_topk(queries)
             assert hit_keys(third) == hit_keys(first)
-            assert pool.stats.last_warm is True
+            assert pool.stats.last_round[0] is True
 
     def test_per_call_overrides_do_not_stick(self):
         ref, queries, _ = planted_instance(6000, 3, 60, seed=63)
@@ -438,7 +438,7 @@ class TestCallValidation:
             got = pool.search_topk(queries)
             assert pool.stats.cold_searches == 1
             assert pool.stats.warm_searches == 0
-            assert pool.stats.last_warm is False
+            assert pool.stats.last_round[0] is False
         assert hit_keys(got) == hit_keys(search_topk(queries, ref, k=3))
 
     def test_search_scheme_mismatch_fails_in_parent(self):
