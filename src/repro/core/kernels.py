@@ -9,6 +9,10 @@ specialized on one :class:`~repro.core.types.AlignmentScheme`:
 * :func:`score_lanes` — a batch of independent equal-length pairs computed
   in SIMD lanes (leading array axis); the paper's inter-sequence NGS-read
   path (§IV-A: "blocks that consist of rows from independent submatrices").
+  With a ``floor``, lanes stop being relaxed once a proven upper bound on
+  their score, ``max(out, max_j H[i, j] + max(σ_max, 0)·(n − i))``, drops
+  below it: lanes that reach the floor keep exact scores, the others
+  return a value in ``[exact, floor)`` (proof in its docstring).
 * :func:`fill_matrix` — scalar-dialect full-matrix fill, optionally with
   predecessor tracking; the non-vectorized CPU variant and the innermost
   traceback level.
@@ -16,7 +20,11 @@ specialized on one :class:`~repro.core.types.AlignmentScheme`:
 Both vector drivers share ONE traced kernel per scheme: every read keeps a
 leading ellipsis, so the same generated source runs 1-D rows and 2-D lane
 blocks.  This is the reproduction of the paper's "52% of the code is shared
-among all variants" claim at kernel granularity.
+among all variants" claim at kernel granularity.  The kernel sweeps a row
+range ``(i0, i1]`` and finishes the matrix only when ``i1 == n``: the
+unfloored drivers make one ``(0, n]`` call, the floored lane driver
+sweeps in slabs of :data:`BOUND_SLAB` rows with a bound check and a lane
+compaction between them — the same generated kernel either way.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ __all__ = [
     "build_matrix_kernel",
     "score_rowscan",
     "score_lanes",
+    "sweep_lanes",
     "fill_matrix",
     "pick_neg_inf",
 ]
@@ -89,8 +98,13 @@ def build_rowscan_kernel(scheme: AlignmentScheme):
 
     Generated signature::
 
-        kernel(q, s, n, m, H, C, ramp, out, ninf [, E] [, table])
+        kernel(q, s, n, m, i0, i1, H, C, ramp, out, ninf [, E] [, table])
 
+    The call relaxes rows ``i0+1 .. i1`` of the ``n``-row matrix: ``H``
+    (and ``E``) enter holding row ``i0`` and leave holding row ``i1``,
+    borders use the absolute row index, and the end-of-matrix epilogue
+    runs only when ``i1 == n`` — so one ``(0, n]`` call is the whole sweep
+    and consecutive calls over adjacent ranges compose to it.
     ``H``/``C``/``E`` are scratch rows of logical length m+1 (with any
     number of leading lane axes), ``ramp`` is ``arange(m+1) * p`` in the
     score dtype, ``out`` receives the per-lane optimum.
@@ -100,7 +114,7 @@ def build_rowscan_kernel(scheme: AlignmentScheme):
     at = scheme.alignment_type
     gaps = scheme.scoring.gaps
 
-    params = ["q", "s", "n", "m", "H", "C", "ramp", "out", "ninf"]
+    params = ["q", "s", "n", "m", "i0", "i1", "H", "C", "ramp", "out", "ninf"]
     if affine:
         params.append("E")
     if not simple:
@@ -120,7 +134,8 @@ def build_rowscan_kernel(scheme: AlignmentScheme):
     ninf = b.var("ninf")
     srow = b.var("s")  # whole subject row(s); lanes broadcast against q cols
 
-    with b.loop("i", 1, n + 1) as i:
+    i1 = b.var("i1")
+    with b.loop("i", b.var("i0") + 1, i1 + 1) as i:
         qc = b.let(qv.col(i - 1), "qc")
         sub = b.let(subst_expr(scheme, qc, srow, table), "sub")
         hh = b.let(H.cells(0, m), "hh")  # H(i-1, 0..m-1), view
@@ -152,10 +167,14 @@ def build_rowscan_kernel(scheme: AlignmentScheme):
         elif at is AlignmentType.SEMIGLOBAL:
             b.store("out", (Ellipsis,), smax(b.load("out", (Ellipsis,)), H.at(m)))
 
-    if at is AlignmentType.GLOBAL:
-        b.store("out", (Ellipsis,), H.at(m))
-    elif at is AlignmentType.SEMIGLOBAL:
-        b.store("out", (Ellipsis,), smax(b.load("out", (Ellipsis,)), ReduceMax(H.whole())))
+    if at is not AlignmentType.LOCAL:
+        with b.if_(i1.eq(n)):  # H holds the last row
+            if at is AlignmentType.GLOBAL:
+                b.store("out", (Ellipsis,), H.at(m))
+            else:
+                b.store(
+                    "out", (Ellipsis,), smax(b.load("out", (Ellipsis,)), ReduceMax(H.whole()))
+                )
 
     return build_kernel(b, dialect="vector")
 
@@ -405,30 +424,40 @@ def score_rowscan(query, subject, scheme: AlignmentScheme, dtype=np.int32) -> in
     """Optimal score of one pair via the specialized row-sweep kernel."""
     q = check_sequence(np.asarray(query, dtype=np.uint8), "query")
     s = check_sequence(np.asarray(subject, dtype=np.uint8), "subject")
-    n, m = int(q.size), int(s.size)
-    _check_headroom(scheme, n, m, dtype)
-
-    kern = _cached(("rowscan",) + scheme.cache_key(), lambda: build_rowscan_kernel(scheme))
-    H, C, E, ramp, ninf = _init_rows(scheme, (), m, dtype)
-    out = np.full((), ninf, dtype=dtype)
-    args = [q, s, n, m, H, C, ramp, out, ninf]
-    if scheme.alignment_type is AlignmentType.SEMIGLOBAL:
-        out[...] = H[..., m]  # include the H(0,m) border cell
-    if E is not None:
-        args.append(E)
-    if not scheme.scoring.subst.is_simple:
-        args.append(scheme.scoring.subst.table.astype(dtype))
-    kern(*args)
-    return int(out)
+    _check_headroom(scheme, int(q.size), int(s.size), dtype)
+    return int(_sweep(q, s, scheme, dtype)[0])
 
 
-def score_lanes(queries, subjects, scheme: AlignmentScheme, dtype=np.int32) -> np.ndarray:
+def score_lanes(
+    queries, subjects, scheme: AlignmentScheme, dtype=np.int32, floor=None
+) -> np.ndarray:
     """Optimal scores of a batch of independent equal-length pairs.
 
     ``queries`` is (lanes, n) and ``subjects`` is (lanes, m); the kernel
     relaxes all lanes per step — inter-sequence vectorization.  Returns a
     (lanes,) score vector.
+
+    With a ``floor``, a lane stops being relaxed once a proven upper bound
+    on its score falls below it: every lane scoring ≥ ``floor`` gets its
+    exact score, every other lane some value in ``[exact, floor)``.  After
+    row ``i`` the bound is ``U = max(out, max_j H[i, j] + g·(n − i))`` with
+    ``g = max(σ_max, 0)``.  Any alignment either ends by row ``i`` — then
+    ``out`` (the running optimum over rows ≤ ``i``) already covers it — or
+    leaves row ``i`` from some cell ``(i, j)``: its prefix scores at most
+    ``H[i, j]``, and the rest makes ``n − i`` down-moves that each add at
+    most ``σ_max`` (diagonal) or ≤ 0 (gap), plus ≤ 0 gap moves.  An
+    alignment that starts below row ``i`` (the free starts of semiglobal
+    and local schemes) scores at most ``g·(n − i) ≤ H[i, 0] + g·(n − i)``
+    because those schemes have ``H[i, 0] = 0``.  So ``U`` ≥ the exact
+    score, and an abandoned lane returns its ``U < floor``.
     """
+    return sweep_lanes(queries, subjects, scheme, dtype, floor)[0]
+
+
+def sweep_lanes(
+    queries, subjects, scheme: AlignmentScheme, dtype=np.int32, floor=None
+) -> tuple[np.ndarray, int]:
+    """:func:`score_lanes` plus the number of DP cells the sweep relaxed."""
     q = np.ascontiguousarray(queries, dtype=np.uint8)
     s = np.ascontiguousarray(subjects, dtype=np.uint8)
     if q.ndim != 2 or s.ndim != 2 or q.shape[0] != s.shape[0]:
@@ -440,19 +469,58 @@ def score_lanes(queries, subjects, scheme: AlignmentScheme, dtype=np.int32) -> n
     if q.max(initial=0) > 3 or s.max(initial=0) > 3:
         raise ValidationError("sequence codes outside 0..3")
     _check_headroom(scheme, n, m, dtype)
+    return _sweep(q, s, scheme, dtype, floor)
 
+
+#: Rows a floored lane sweep relaxes between two bound checks.
+BOUND_SLAB = 8
+
+
+def _sweep(q, s, scheme: AlignmentScheme, dtype, floor=None) -> tuple[np.ndarray, int]:
+    """Row-sweep driver over one pair (1-D) or a lane stack (2-D).
+
+    Without a floor: one ``(0, n]`` kernel call.  With one (lane stacks
+    only): the rows before the first that can abandon a lane whose row
+    maximum is ≥ 0 go in one call, then ``BOUND_SLAB`` rows per call, each
+    followed by the bound check of :func:`score_lanes` and a compaction of
+    the surviving lanes.  Returns ``(int64 scores, cells relaxed)``.
+    """
+    n, m = q.shape[-1], s.shape[-1]
     kern = _cached(("rowscan",) + scheme.cache_key(), lambda: build_rowscan_kernel(scheme))
-    H, C, E, ramp, ninf = _init_rows(scheme, (lanes,), m, dtype)
-    out = np.full((lanes,), ninf, dtype=dtype)
+    H, C, E, ramp, ninf = _init_rows(scheme, q.shape[:-1], m, dtype)
+    out = np.full(q.shape[:-1], ninf, dtype=dtype)
     if scheme.alignment_type is AlignmentType.SEMIGLOBAL:
-        out[...] = H[..., m]
-    args = [q, s, n, m, H, C, ramp, out, ninf]
-    if E is not None:
-        args.append(E)
-    if not scheme.scoring.subst.is_simple:
-        args.append(scheme.scoring.subst.table.astype(dtype))
-    kern(*args)
-    return out.astype(np.int64)
+        out[...] = H[..., m]  # include the H(0,m) border cell
+    subst = scheme.scoring.subst
+    table = None if subst.is_simple else subst.table.astype(dtype)
+    if floor is None:
+        kern(q, s, n, m, 0, n, H, C, ramp, out, ninf, *[x for x in (E, table) if x is not None])
+        return out.astype(np.int64), q.size * m
+
+    gain = max(subst.max_score, 0)
+    scores = np.empty(q.shape[0], dtype=np.int64)
+    live = np.arange(q.shape[0])
+    cells = 0
+    i0, i1 = 0, min(n, max(0, n - int(floor) // max(gain, 1)))
+    while True:
+        kern(q, s, n, m, i0, i1, H, C, ramp, out, ninf, *[x for x in (E, table) if x is not None])
+        cells += live.size * (i1 - i0) * m
+        if i1 == n:
+            break
+        bound = np.maximum(
+            out.astype(np.int64), H.max(axis=-1).astype(np.int64) + gain * (n - i1)
+        )
+        keep = bound >= floor
+        if not keep.all():
+            scores[live[~keep]] = bound[~keep]
+            live, q, s, H, C, out = live[keep], q[keep], s[keep], H[keep], C[keep], out[keep]
+            if E is not None:
+                E = E[keep]
+            if not live.size:
+                return scores, cells
+        i0, i1 = i1, min(i1 + BOUND_SLAB, n)
+    scores[live] = out
+    return scores, cells
 
 
 def fill_matrix(query, subject, scheme: AlignmentScheme, track_predecessor: bool = False):

@@ -287,7 +287,7 @@ class ExecutionEngine:
                 Batch(shape=batch.shape, requests=batch.requests[off : off + lanes])
                 for off in range(0, len(batch.requests), lanes)
             ]
-            scores = np.concatenate([stage.execute(part) for part in parts])
+            scores = np.concatenate([stage.execute(part)[0] for part in parts])
         lane_blocks = sum(1 for p in parts if len(p) > 1)
         self.stats.absorb(
             _direct_stats(

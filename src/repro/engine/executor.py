@@ -35,20 +35,27 @@ __all__ = ["BatchExecutor", "PlanExecutorStage"]
 
 
 class PlanExecutorStage:
-    """Executor stage: one plan, full-DP lane blocks (or per-pair scores)."""
+    """Executor stage: one plan, full-DP lane blocks (or per-pair scores).
 
-    def __init__(self, plan):
+    With a ``floor``, every batch runs as a lane block whose lanes stop
+    once they provably cannot score ``floor`` (see
+    :meth:`~repro.engine.plans.ExecutionPlan.score_block`): pairs scoring
+    ≥ ``floor`` keep their exact scores, the rest come back below it.
+    """
+
+    def __init__(self, plan, floor: int | None = None):
         self.plan = plan
+        self.floor = floor
 
-    def execute(self, batch: Batch) -> np.ndarray:
-        if len(batch) > 1:
+    def execute(self, batch: Batch) -> tuple[np.ndarray, dict]:
+        if len(batch) > 1 or self.floor is not None:
             qs, ss = batch.stacked()
-            return np.asarray(self.plan.score_block(qs, ss), dtype=np.int64)
-        req = batch.requests[0]
-        return np.array([self.plan.score_one(req.query, req.subject)], dtype=np.int64)
-
-    def cells_of(self, batch: Batch) -> tuple[int, int]:
-        return batch.cells, 0
+            scores, cells = self.plan.score_block(qs, ss, floor=self.floor)
+        else:
+            req = batch.requests[0]
+            scores = np.array([self.plan.score_one(req.query, req.subject)], dtype=np.int64)
+            cells = batch.cells
+        return scores, {"cells_computed": cells, "cells_skipped_bound": batch.cells - cells}
 
 
 class BatchExecutor:

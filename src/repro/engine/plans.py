@@ -61,16 +61,26 @@ class ExecutionPlan:
             return score_rowscan(q, s, self.scheme, dtype=self.dtype)
         return int(self._worker().score(q, s))
 
-    def score_block(self, qs: np.ndarray, ss: np.ndarray) -> np.ndarray:
-        """Relax a stacked block of same-shape pairs in lanes."""
-        if self.backend == "rowscan":
-            from repro.core.kernels import score_lanes
+    def score_block(
+        self, qs: np.ndarray, ss: np.ndarray, floor: int | None = None
+    ) -> tuple[np.ndarray, int]:
+        """Relax a stacked block of same-shape pairs in lanes.
 
-            return score_lanes(qs, ss, self.scheme, dtype=self.dtype)
+        Returns ``(scores, cells relaxed)``.  With a ``floor`` the row-sweep
+        kernel may stop early on lanes that cannot reach it (their scores
+        are then below ``floor``, see :func:`repro.core.kernels.score_lanes`);
+        delegate backends ignore it and return exact scores.
+        """
+        if self.backend == "rowscan":
+            from repro.core.kernels import sweep_lanes
+
+            return sweep_lanes(qs, ss, self.scheme, dtype=self.dtype, floor=floor)
         worker = self._worker()
         if hasattr(worker, "score_batch"):
-            return np.asarray(worker.score_batch(list(qs), list(ss)), dtype=np.int64)
-        return np.array([worker.score(q, s) for q, s in zip(qs, ss)], dtype=np.int64)
+            scores = np.asarray(worker.score_batch(list(qs), list(ss)), dtype=np.int64)
+        else:
+            scores = np.array([worker.score(q, s) for q, s in zip(qs, ss)], dtype=np.int64)
+        return scores, qs.size * ss.shape[-1]
 
     def score_banded(self, q: np.ndarray, s: np.ndarray, band: int, widen: bool = False) -> int:
         """Band-constrained score (the search pipeline's verify path)."""

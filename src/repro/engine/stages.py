@@ -142,10 +142,10 @@ class Batcher(Protocol):
 class ExecutorStage(Protocol):
     """Runs one batch to scores (thread-safe: called from pool workers)."""
 
-    def execute(self, batch: Batch) -> np.ndarray: ...
-
-    def cells_of(self, batch: Batch) -> tuple[int, int]:
-        """(cells actually relaxed, cells skipped vs. full DP)."""
+    def execute(self, batch: Batch) -> tuple[np.ndarray, dict]:
+        """Scores plus the batch's cell ledger: ``cells_computed`` (cells
+        actually relaxed) and the ``cells_skipped_*`` counts that sum with
+        it to the batch's full-DP cells."""
         ...
 
 
@@ -197,6 +197,7 @@ class PipelineStats:
     pairs: int = 0  # requests executed
     cells_computed: int = 0  # DP cells actually relaxed (band-aware)
     cells_skipped_band: int = 0  # full-DP minus banded cells, executed pairs
+    cells_skipped_bound: int = 0  # cells left unswept by lanes abandoned below the floor
     cells_skipped_prefilter: int = 0  # full-DP cells of rejected candidates
     flushes: int = 0  # backpressure-forced batcher flushes
     max_buffered: int = 0  # high-water mark of batcher-buffered requests
@@ -209,7 +210,7 @@ class PipelineStats:
 
     @property
     def cells_skipped(self) -> int:
-        return self.cells_skipped_band + self.cells_skipped_prefilter
+        return self.cells_skipped_band + self.cells_skipped_bound + self.cells_skipped_prefilter
 
     @property
     def gcups(self) -> float:
@@ -260,6 +261,7 @@ _PIPELINE_COUNTERS = {
     "pairs": ("pipeline_pairs_total", "Requests executed", {}),
     "cells_computed": ("pipeline_cells_total", _CELLS_HELP, {"kind": "computed"}),
     "cells_skipped_band": ("pipeline_cells_total", _CELLS_HELP, {"kind": "skipped_band"}),
+    "cells_skipped_bound": ("pipeline_cells_total", _CELLS_HELP, {"kind": "skipped_bound"}),
     "cells_skipped_prefilter": (
         "pipeline_cells_total",
         _CELLS_HELP,
@@ -388,11 +390,6 @@ class StreamPipeline:
     # Executed on pool workers: must only touch stats under the lock.
     def _timed_execute(self, batch: Batch) -> np.ndarray:
         st = self.stats
-        cells_of = getattr(self.stage, "cells_of", None)
-        if cells_of is not None:
-            computed, skipped = cells_of(batch)
-        else:
-            computed, skipped = batch.cells, 0
         # Pool worker threads do not inherit the contextvar; parent on the
         # root-span context captured when the run opened.
         with execute_timer(
@@ -401,19 +398,19 @@ class StreamPipeline:
             parent=self._run_ctx,
             batch=len(batch),
             shape=list(batch.shape),
-            cells=computed,
         ) as t:
-            scores = self.stage.execute(batch)
+            scores, cells = self.stage.execute(batch)
+            t.set(cells=cells["cells_computed"])
         with st._lock:
             st.stages["execute"].add(len(batch), t.seconds)
-            st.cells_computed += computed
-            st.cells_skipped_band += skipped
+            for f, v in cells.items():
+                setattr(st, f, getattr(st, f) + v)
         if _log.enabled_for("debug"):  # one compare on the default config
             _log.debug(
                 "batch executed",
                 pipeline=self.trace_name,
                 batch=len(batch),
-                cells=computed,
+                cells=cells["cells_computed"],
                 seconds=t.seconds,
             )
         return scores

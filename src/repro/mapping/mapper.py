@@ -73,7 +73,10 @@ class MappingConfig:
     the oracle agrees with: a verify *band* clips the score of boundary-
     straddling shadow placements, which changes what survives
     ``min_score``.  The fast path's speedup comes from the seed
-    prefilter rejecting unseeded windows, which full verify keeps.
+    prefilter rejecting unseeded windows, and from full verify using
+    ``min_score`` as its floor: lanes whose score provably cannot reach
+    it stop early, while every pair that can keeps its exact score — the
+    ones the oracle retains.
     """
 
     search: SearchConfig = field(

@@ -129,6 +129,7 @@ def pipeline_stats_table(stats, title: str = "Streaming pipeline", verify=None) 
             ("cells computed", stats.cells_computed),
             ("cells skipped (prefilter)", stats.cells_skipped_prefilter),
             ("cells skipped (band)", stats.cells_skipped_band),
+            ("cells skipped (bound)", stats.cells_skipped_bound),
             (
                 "work avoided",
                 f"{100 * stats.cells_skipped / total_cells:.1f}%" if total_cells else "-",

@@ -157,7 +157,7 @@ class BandedVerifyStage:
 
     The band bounds the query's placement offset inside the window plus
     indel drift; cells outside it are never relaxed, and
-    :meth:`cells_of` reports exactly how many were skipped versus full DP.
+    :meth:`execute` reports exactly how many were skipped versus full DP.
 
     Band derivation (``band=None``, the default) has two tiers:
 
@@ -243,7 +243,7 @@ class BandedVerifyStage:
             return band
         return max(band, abs(n - m))  # widen=True, as execute does
 
-    def execute(self, batch: Batch) -> np.ndarray:
+    def execute(self, batch: Batch) -> tuple[np.ndarray, dict]:
         band = self._batch_band(batch)
         plan = self.plan
         lanes = self.lane_verify and len(batch) > 1 and plan.lane_batching
@@ -266,13 +266,7 @@ class BandedVerifyStage:
         with self._lock:
             self._path_pairs[path] += len(batch)
             self._path_cells[path] += cells
-        return scores
-
-    def cells_of(self, batch: Batch) -> tuple[int, int]:
-        n, m = batch.shape
-        band = self._effective(batch.shape, self._batch_band(batch))
-        computed = band_cells(n, m, band) * len(batch)
-        return computed, batch.cells - computed
+        return scores, {"cells_computed": cells, "cells_skipped_band": batch.cells - cells}
 
     def path_stats(self) -> dict:
         """Pairs/cells verified per execution path (lane kernel vs scalar)."""
@@ -431,7 +425,10 @@ def search(
         Pre-windowed chunks are scanned window by window.
     k / min_score:
         Retention: at most ``k`` hits per query, optionally only those
-        scoring ≥ ``min_score``.
+        scoring ≥ ``min_score``.  With ``verify="full"``, ``min_score`` is
+        also the lane kernel's floor: a pair stops being relaxed once its
+        score provably cannot reach it (retained hits keep exact scores;
+        ``PipelineStats.cells_skipped_bound`` counts the cells saved).
     kmer / min_seeds:
         Seed prefilter: candidates must share ≥ ``min_seeds`` distinct
         k-mers with the window.
@@ -488,7 +485,9 @@ def search(
         # uniform for the band-specialized kernel.
         batcher = ShapeBatcher(engine.executor.lanes, key_of=stage.band_of)
     else:
-        stage = PlanExecutorStage(plan)  # exact full-DP verification
+        # Exact full-DP verification; lanes that cannot reach min_score
+        # stop early (their scores are dropped by the reducer anyway).
+        stage = PlanExecutorStage(plan, floor=min_score)
         batcher = ShapeBatcher(engine.executor.lanes)
     reducer = TopKReducer(len(index), k=k, min_score=min_score, keep_window=hit_window)
     prefilter = SeedPrefilter(index, min_seeds=min_seeds)

@@ -33,7 +33,7 @@ _ROW_FIELDS = {
     "pairs": "pairs",  # pairs verified (DP actually run)
     "batches": "batches",
     "cells_computed": "cells_computed",
-    "cells_skipped": "cells_skipped",  # band + prefilter savings
+    "cells_skipped": "cells_skipped",  # band + bound + prefilter savings
 }
 
 #: Lifetime counts :meth:`PoolStats.snapshot` reports beside ``last_run``.

@@ -2,16 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.kernels import (
+    BOUND_SLAB,
     build_matrix_kernel,
     build_rowscan_kernel,
     fill_matrix,
     pick_neg_inf,
     score_lanes,
     score_rowscan,
+    sweep_lanes,
 )
 from repro.core.recurrence import dp_matrices, score_reference
 from repro.core.scoring import (
@@ -145,6 +147,69 @@ class TestLanes:
         qs = np.full((2, 4), 9, dtype=np.uint8)
         with pytest.raises(ValidationError):
             score_lanes(qs, qs, scheme)
+
+
+#: Every scheme above plus a non-uniform substitution matrix (σ_max = 5).
+FLOOR_SCHEMES = {
+    **SCHEMES,
+    "local-affine-matrix": local_scheme(
+        affine_gap_scoring(
+            matrix_subst_scoring(
+                np.array([[5, -1, 1, -1], [-1, 5, -1, 1], [1, -1, 5, -1], [-1, 1, -1, 5]])
+            ),
+            -3,
+            -1,
+        )
+    ),
+}
+
+
+class TestFloor:
+    """``score_lanes(floor=f)``: exact on every lane scoring ≥ f, in
+    ``[exact, f)`` on every other lane."""
+
+    @pytest.mark.parametrize("name", sorted(FLOOR_SCHEMES))
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lanes=st.integers(1, 6),
+        n=st.integers(1, 5 * BOUND_SLAB),
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        related=st.booleans(),
+    )
+    @example(lanes=1, n=BOUND_SLAB - 1, m=9, seed=0, related=True)
+    @example(lanes=1, n=4 * BOUND_SLAB, m=40, seed=1, related=False)
+    def test_floor_exact_on_every_lane_that_reaches_it(
+        self, name, lanes, n, m, seed, related
+    ):
+        scheme = FLOOR_SCHEMES[name]
+        rng = np.random.default_rng(seed)
+        qs = rng.integers(0, 4, (lanes, n)).astype(np.uint8)
+        ss = rng.integers(0, 4, (lanes, m)).astype(np.uint8)
+        if related:  # high scorers: lanes that survive several checks
+            ss[:, : min(n, m)] = qs[:, : min(n, m)]
+        exact = score_lanes(qs, ss, scheme)
+        below_min = -100 * (n + m)
+        above_max = max(scheme.scoring.subst.max_score, 0) * min(n, m) + 1
+        floors = {below_min, above_max} | {int(e) + d for e in exact for d in (0, 1)}
+        for f in sorted(floors):
+            got, cells = sweep_lanes(qs, ss, scheme, floor=f)
+            reach = exact >= f
+            np.testing.assert_array_equal(got[reach], exact[reach])
+            assert np.all(got[~reach] < f) and np.all(got[~reach] >= exact[~reach])
+            assert cells <= lanes * n * m
+            np.testing.assert_array_equal(score_lanes(qs, ss, scheme, floor=f), got)
+        # Nothing is abandoned below every possible score.
+        assert sweep_lanes(qs, ss, scheme, floor=below_min)[1] == lanes * n * m
+
+    def test_unreachable_floor_abandons_every_lane_early(self):
+        scheme = SCHEMES["semiglobal-linear"]
+        rng = np.random.default_rng(5)
+        qs = rng.integers(0, 4, (8, 60)).astype(np.uint8)
+        ss = rng.integers(0, 4, (8, 90)).astype(np.uint8)
+        scores, cells = sweep_lanes(qs, ss, scheme, floor=2 * 60 + 1)
+        assert np.all(scores <= 2 * 60) and cells < 8 * 60 * 90 // 2
+        assert sweep_lanes(qs, ss, scheme)[1] == 8 * 60 * 90
 
 
 class TestOverflowGuards:

@@ -387,6 +387,38 @@ class TestDedupMerge:
             assert keys(got) == keys(want)
 
 
+class TestBoundedVerify:
+    """Full verify stops relaxing lanes that cannot reach ``min_score``;
+    placements stay bit-identical to the full-DP oracle."""
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        rs = read_pairs(16, read_length=80, reference_length=30_000, seed=5)
+        return rs, exhaustive_map(rs, rs.reference, min_score=MIN_SCORE)
+
+    def test_map_reads_abandons_lanes_and_matches_oracle(self, large):
+        rs, oracle = large
+        fast = map_reads(rs, rs.reference, min_score=MIN_SCORE)
+        assert keys(fast.placements) == keys(oracle.placements)
+        st = fast.search_stats
+        assert st.cells_skipped_bound > 0
+        # No floor, no abandoned lane: the same pairs, every cell relaxed.
+        unfloored = map_reads(rs, rs.reference, min_score=None).search_stats
+        assert unfloored.cells_skipped_bound == 0
+        assert unfloored.pairs == st.pairs
+        assert unfloored.cells_computed == st.cells_computed + st.cells_skipped_bound
+
+    def test_pool_map_topk_abandons_lanes_and_matches_oracle(self, large):
+        rs, oracle = large
+        reads = [rs.reads[i] for i in range(len(rs))]
+        plan = ShardPlan(num_shards=2, search=SearchConfig(), start_method="fork")
+        with ShardWorkerPool(rs.reference, plan=plan) as pool:
+            got = pool.map_topk(reads, min_score=MIN_SCORE)
+            ledgers = [ledger for ledger, _hits in pool.stats.last_round[1]]
+        assert keys(got) == keys(oracle.placements)
+        assert sum(ledger.cells_skipped_bound for ledger in ledgers) > 0
+
+
 class TestPoolParity:
     def test_pool_map_topk_bit_identical(self, workload):
         rs, ref = workload
