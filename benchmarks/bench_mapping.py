@@ -13,6 +13,11 @@ The acceptance bar (PR 10), recorded in ``BENCH_mapping.json``:
   exactly, and the pool-served sharded mapping equals the
   single-process result exactly.
 
+``map_reads`` takes ~0.1 s here, so one timing swings with scheduler
+noise; the fast path is timed as the median of ``FAST_RUNS`` runs (the
+~10 s oracle once), which keeps ``speedup_vs_oracle`` comparable from
+run to run.
+
 The speedup is algorithmic (work avoided by the seed prefilter), not a
 parallelism bar, so it is enforced on any host; the smoke variant
 (``-k smoke``) only relaxes it to ≥ 1× so CI boxes with noisy clocks
@@ -22,6 +27,7 @@ seeded search provably sees everything the oracle keeps.
 """
 
 import os
+import statistics
 import time
 
 from repro.mapping import (
@@ -36,6 +42,9 @@ from repro.shard import ShardPlan, ShardWorkerPool
 from repro.workloads.reads import read_pairs
 
 MATCH = 2  # default scoring: simple_subst_scoring(2, -1)
+
+#: Timed runs of the fast path; ``fast_s`` is their median.
+FAST_RUNS = 5
 
 
 def _keys(per_read):
@@ -65,9 +74,12 @@ def _run(
     oracle = exhaustive_map(rs, ref, min_score=min_score)
     oracle_s = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    fast = map_reads(rs, ref, min_score=min_score)
-    fast_s = time.perf_counter() - t0
+    fast_runs = []
+    for _ in range(FAST_RUNS):
+        t0 = time.perf_counter()
+        fast = map_reads(rs, ref, min_score=min_score)
+        fast_runs.append(time.perf_counter() - t0)
+    fast_s = statistics.median(fast_runs)
 
     want = _keys(oracle.placements)
     assert _keys(fast.placements) == want, (
@@ -106,7 +118,7 @@ def _run(
                 "1.0x",
             ),
             (
-                "map_reads (seed + extend)",
+                f"map_reads (seed + extend, median of {FAST_RUNS})",
                 f"{fast_s:7.3f}",
                 f"{count / fast_s:,.1f}",
                 f"{speedup:.2f}x",
@@ -145,6 +157,7 @@ def _run(
             "num_shards": num_shards,
             "oracle_s": oracle_s,
             "fast_s": fast_s,
+            "fast_s_runs": fast_runs,
             "pool_cold_s": pool_cold_s,
             "pool_warm_s": pool_warm_s,
             "speedup_vs_oracle": speedup,

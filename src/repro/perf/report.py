@@ -322,15 +322,14 @@ def snapshot(
     pipelines=None,
     services=None,
     pools=None,
-    shard_runs=None,
     registry=None,
     tracer=None,
 ) -> dict:
     """One JSON document aggregating every layer's stats with the registry.
 
     Each keyword takes an iterable of the corresponding stats holders (or
-    objects exposing ``.stats``): pipeline/stage tables, serving fronts,
-    worker pools, and sharded-run summaries.  ``registry``
+    objects exposing ``.stats``): pipeline/stage tables, serving fronts
+    and worker pools.  ``registry``
     defaults to the process-wide :func:`repro.obs.get_registry`;
     ``tracer`` (optional) contributes the finished-span count and the
     rendered trace tree.  The result is ``json.dumps``-ready — the single
@@ -346,7 +345,6 @@ def snapshot(
         "pipelines": [stats_of(p) for p in (pipelines or ())],
         "services": [stats_of(s) for s in (services or ())],
         "pools": [stats_of(p) for p in (pools or ())],
-        "shard_runs": [stats_of(r) for r in (shard_runs or ())],
     }
     doc["metrics"] = (registry or get_registry()).as_dict()
     if tracer is not None:

@@ -138,6 +138,16 @@ class SearchConfig:
     def resolved_scheme(self) -> AlignmentScheme:
         return self.scheme if self.scheme is not None else default_search_scheme()
 
+    def with_overrides(self, **overrides) -> "SearchConfig":
+        """This config with ``overrides`` applied; an unknown field name
+        is a :class:`~repro.util.checks.ValidationError` naming it."""
+        if not overrides:
+            return self
+        unknown = overrides.keys() - {f.name for f in dataclasses.fields(self)}
+        if unknown:
+            raise ValidationError(f"unknown search parameter(s): {sorted(unknown)}")
+        return replace(self, **overrides)
+
     def resolved_for(self, qmax: int) -> "SearchConfig":
         """Pin windowing and scheme for a concrete query set (idempotent)."""
         window, overlap = resolve_windowing(

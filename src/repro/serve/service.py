@@ -48,7 +48,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from functools import partial
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.engine.engine import ExecutionEngine
 from repro.engine.stages import Batch, Request
@@ -669,10 +669,7 @@ class AlignmentService:
         from repro.search.pipeline import SearchConfig
 
         base = self.pool.plan.search if self.pool is not None else SearchConfig()
-        try:
-            return replace(base, **kwargs)
-        except TypeError as exc:  # a name SearchConfig does not have
-            raise ValidationError(f"unknown search parameter: {exc}") from None
+        return base.with_overrides(**kwargs)
 
     async def _flush_loop(self):
         """Single linger timer: dispatches buckets whose wait has expired."""

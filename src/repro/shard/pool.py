@@ -37,11 +37,20 @@ Across rounds:
   abnormal death can poison the shared queue's write lock), and every
   worker comes back fresh — visible in ``stats.respawns``.
 * **Host-clamped concurrency** — at most :attr:`max_concurrent`
-  (``min(num_shards, cpu_count)`` by default) shard commands are
-  dispatched at once, so oversharded pools degrade to staggered execution
+  (``min(num_shards, cpu_count)``, read-only) search or map commands are
+  in flight at once, so oversharded pools degrade to staggered execution
   instead of oversubscribing the host (see
   :func:`~repro.shard.worker.shard_engine_workers` for the thread-budget
   half of the policy).
+
+Every exchange with the workers — spawn/ready, search, map, swap and
+ping — is one pass of :meth:`ShardWorkerPool._exchange`, the only reader
+of the result queue: it sends each shard its command (up to a limit),
+drops stale replies by ``seq``, checks liveness and the deadline on every
+empty poll, and hands each reply to the round.  Workers stop one way,
+:meth:`ShardWorkerPool._break` (shutdown command, bounded join, then
+terminate): a dead or wedged worker, a failed swap, healing and
+:meth:`~ShardWorkerPool.close` all go through it.
 
 Thread safety: public methods serialize on an internal lock, so a pool
 can be shared by a serving front (e.g. ``AlignmentService(pool=...)``).
@@ -49,7 +58,6 @@ can be shared by a serving front (e.g. ``AlignmentService(pool=...)``).
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import queue as queue_mod
@@ -64,12 +72,12 @@ from repro.search.topk import Hit, TopKReducer
 from repro.shard.plan import ShardPlan, build_pool_payloads
 from repro.shard.stats import PoolStats
 from repro.shard.worker import run_pool_worker
-from repro.util.checks import ReproError, ValidationError, check_positive
+from repro.util.checks import ReproError, ValidationError
 from repro.util.encoding import encode
 
 __all__ = ["ShardWorkerPool", "ShardError", "ShardWorkerError"]
 
-#: How often gather loops wake to check worker liveness (seconds).
+#: How often the reply loop wakes to check worker liveness (seconds).
 _POLL_S = 0.2
 
 #: How long a dead-but-unreported worker's message may trail its exit.
@@ -79,11 +87,9 @@ _POLL_S = 0.2
 #: — is an error, upholding the never-a-hang guarantee.
 _DEAD_GRACE_S = 5.0
 
-#: How long close() waits for a worker to honour shutdown before
+#: How long _break() waits for a worker to honour shutdown before
 #: terminating it.
 _SHUTDOWN_JOIN_S = 5.0
-
-_SEARCH_FIELDS = frozenset(f.name for f in dataclasses.fields(SearchConfig))
 
 #: Per worker op: the round's span, its size attribute, and its counter.
 _ROUNDS = {
@@ -108,14 +114,6 @@ class ShardError(ReproError):
 
 class ShardWorkerError(ShardError):
     """A worker process failed (reported an exception or died silently)."""
-
-
-def _with_overrides(cfg: SearchConfig, overrides: dict) -> SearchConfig:
-    """``cfg`` with ``overrides`` applied; unknown names are an error."""
-    unknown = set(overrides) - _SEARCH_FIELDS
-    if unknown:
-        raise ValidationError(f"unknown search parameter(s): {sorted(unknown)}")
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 def _encode_all(seqs, empty_msg: str) -> tuple[list, int]:
@@ -149,11 +147,6 @@ class ShardWorkerPool:
     timeout:
         Per-command-round bound in seconds on waiting for workers
         (None = no bound; crashes are detected either way).
-    max_concurrent:
-        Dispatch clamp: at most this many shard searches in flight at
-        once.  Defaults to ``min(num_shards, os.cpu_count())`` so a pool
-        sharded wider than the host degrades to staggered execution
-        rather than oversubscription.
     payloads:
         Explicit per-shard payload objects (test hook / advanced use);
         bypasses database publication entirely.
@@ -170,14 +163,13 @@ class ShardWorkerPool:
         *,
         plan: ShardPlan | None = None,
         timeout: float | None = None,
-        max_concurrent: int | None = None,
         payloads: list | None = None,
         **search_kwargs,
     ):
         if plan is None:
             plan = ShardPlan(
                 num_shards=num_shards if num_shards is not None else 4,
-                search=_with_overrides(SearchConfig(), search_kwargs),
+                search=SearchConfig().with_overrides(**search_kwargs),
             )
         else:
             if search_kwargs:
@@ -196,12 +188,6 @@ class ShardWorkerPool:
             )
         self.plan = plan
         self.timeout = timeout
-        cores = os.cpu_count() or 1
-        self.max_concurrent = (
-            check_positive(max_concurrent, "max_concurrent")
-            if max_concurrent is not None
-            else min(plan.num_shards, cores)
-        )
         self.stats = PoolStats(num_shards=plan.num_shards)
         self._database = database
         self._payloads = payloads  # per-shard, set at start()
@@ -225,6 +211,16 @@ class ShardWorkerPool:
     @property
     def num_shards(self) -> int:
         return self.plan.num_shards
+
+    @property
+    def max_concurrent(self) -> int:
+        """Dispatch clamp: search/map commands in flight at once.
+
+        ``min(num_shards, os.cpu_count())``, so a pool sharded wider than
+        the host degrades to staggered execution rather than
+        oversubscription.
+        """
+        return min(self.num_shards, os.cpu_count() or 1)
 
     @property
     def started(self) -> bool:
@@ -308,20 +304,7 @@ class ShardWorkerPool:
             if self._closed:
                 return
             self._closed = True
-            for shard_id, proc in enumerate(self._procs):
-                if proc is not None and proc.is_alive():
-                    try:
-                        self._cmd_qs[shard_id].put(("shutdown", -1))
-                    except (OSError, ValueError):
-                        pass
-            deadline = time.monotonic() + _SHUTDOWN_JOIN_S
-            for proc in self._procs:
-                # proc.pid is None when proc.start() itself failed (e.g. a
-                # spawn bootstrap error); join/terminate assert on those.
-                if proc is None or proc.pid is None:
-                    continue
-                proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            self._terminate_all()
+            self._break()
             for q in self._cmd_qs:
                 if q is not None:
                     q.close()
@@ -365,7 +348,7 @@ class ShardWorkerPool:
         enc_queries, qmax = _encode_all(
             queries, "sharded search needs at least one query"
         )
-        search_cfg = _with_overrides(self.plan.search, overrides).resolved_for(qmax)
+        search_cfg = self.plan.search.with_overrides(**overrides).resolved_for(qmax)
 
         def merge(shard_results):
             with get_tracer().span("pool.merge", shards=len(shard_results)):
@@ -453,15 +436,15 @@ class ShardWorkerPool:
             self._cold_pending = False
             mode = "cold" if cold else "warm"
             seq = self._next_seq()
-            deadline = self._deadline(timeout)
             # Workers trace under the round span's position, shipped as a
             # plain carrier dict through the (picklable) command tuple.
             wcarrier = sp.context.to_carrier() if sp.context is not None else None
-            messages = self._gather(
-                op, seq, enc_queries, search_cfg, map_cfg, deadline, wcarrier
+            replies = self._fan_out(
+                op, seq, enc_queries, search_cfg, map_cfg,
+                self._deadline(timeout), wcarrier,
             )
-            merged = merge([results for results, _ in messages])
-            self.stats.record_round(mode, [shipped for _, shipped in messages])
+            merged = merge([results for results, _ in replies])
+            self.stats.record_round(mode, [shipped for _, shipped in replies])
             reg = get_registry()
             if reg.enabled:
                 reg.counter(counter, counter_help, labels=("mode",)).inc(mode=mode)
@@ -497,28 +480,23 @@ class ShardWorkerPool:
         """Publish, flip every worker, then unlink the old segment."""
         payloads, segment, fingerprint = build_pool_payloads(database, self.plan)
         seq = self._next_seq()
-        for shard_id in range(self.num_shards):
-            self._cmd_qs[shard_id].put(("swap", seq, payloads[shard_id]))
         try:
-            # Collect one reply per shard *before* judging the swap:
-            # a worker that failed must not abort the wait while its
-            # siblings are still mid-reply, because the failure path
-            # terminates them — and killing a worker whose queue
-            # feeder holds the result queue's shared write lock
-            # wedges the queue for every respawned worker.  Once all
-            # replies landed, every live worker is idle.
-            acks = self._collect(
+            # One reply per shard *before* judging the swap: a worker
+            # that failed must not abort the wait while its siblings are
+            # still mid-reply, because the failure path terminates them
+            # — and killing a worker whose queue feeder holds the result
+            # queue's shared write lock wedges the queue for every
+            # respawned worker.  Once all replies landed, every live
+            # worker is idle.
+            self._exchange(
                 "swapped",
                 seq,
-                set(range(self.num_shards)),
+                lambda shard_id: self._cmd_qs[shard_id].put(
+                    ("swap", seq, payloads[shard_id])
+                ),
                 self._deadline(None),
-                collect_errors=True,
+                keep_errors=True,
             )
-            for shard_id, msg in sorted(acks.items()):
-                if msg[0] == "error":
-                    raise ShardWorkerError(
-                        f"shard {shard_id} worker raised:\n{msg[3]}"
-                    )
         except BaseException:
             # Swap failed: workers that already acked sit on the new
             # reference while the pool (and any erroring worker)
@@ -559,39 +537,33 @@ class ShardWorkerPool:
             seq = self._next_seq()
             t0 = time.monotonic()
             t0_wall = time.time()
-            for shard_id in range(self.num_shards):
-                self._cmd_qs[shard_id].put(("ping", seq))
-            arrivals: dict[int, float] = {}
-            msgs = self._collect(
+            # Unstaggered, and stamped as each pong lands: a shard's
+            # latency never includes waiting behind a sibling.
+            pongs = self._exchange(
                 "pong",
                 seq,
-                set(range(self.num_shards)),
+                lambda shard_id: self._cmd_qs[shard_id].put(("ping", seq)),
                 self._deadline(timeout),
-                arrivals=arrivals,
+                on_reply=lambda shard_id, wall, ts: (time.monotonic() - t0, wall),
             )
             self.stats.pings += 1
-            latencies = {sid: arrivals[sid] - t0 for sid in arrivals}
             reg = get_registry()
-            for shard_id, msg in msgs.items():
-                if len(msg) > 4:  # pong carries the worker's wall clock
-                    t1_wall = t0_wall + latencies[shard_id]
-                    self._clock_offsets[shard_id] = ClockOffset.from_roundtrip(
-                        t0_wall, t1_wall, msg[4]
-                    )
+            for shard_id, (latency, wall) in pongs.items():
+                offset = self._clock_offsets[shard_id] = ClockOffset.from_roundtrip(
+                    t0_wall, t0_wall + latency, wall
+                )
                 if reg.enabled:
                     reg.gauge(
                         "pool_shard_ping_seconds",
                         "Last PING round-trip per shard",
                         labels=("shard",),
-                    ).set(latencies[shard_id], shard=shard_id)
-                    off = self._clock_offsets.get(shard_id)
-                    if off is not None:
-                        reg.gauge(
-                            "pool_shard_clock_offset_us",
-                            "Estimated worker-minus-parent wall clock offset",
-                            labels=("shard",),
-                        ).set(off.offset_us, shard=shard_id)
-            return [latencies[shard_id] for shard_id in sorted(latencies)]
+                    ).set(latency, shard=shard_id)
+                    reg.gauge(
+                        "pool_shard_clock_offset_us",
+                        "Estimated worker-minus-parent wall clock offset",
+                        labels=("shard",),
+                    ).set(offset.offset_us, shard=shard_id)
+            return [pongs[shard_id][0] for shard_id in range(self.num_shards)]
 
     def report(self) -> str:
         """Pool residency/reuse table (perf.report format)."""
@@ -626,17 +598,16 @@ class ShardWorkerPool:
 
     def _spawn_all(self) -> None:
         """Start every worker and wait for each to attach and report ready."""
-        shards = range(self.num_shards)
         with get_tracer().span("pool.spawn", shards=self.num_shards):
-            for shard_id in shards:
-                self._spawn(shard_id)
-            ready = self._collect("ready", -1, set(shards), self._deadline(None))
+            # Spawning is the dispatch; every worker starts at once
+            # (unstaggered) and reports ready under seq -1.
+            self._exchange("ready", -1, self._spawn, self._deadline(None))
         reg = get_registry()
         if reg.enabled:
             alive = reg.gauge(
                 "pool_shard_alive", "1 while the shard worker is up", labels=("shard",)
             )
-            for shard_id in ready:
+            for shard_id in range(self.num_shards):
                 alive.set(1, shard=shard_id)
 
     def _ensure_workers(self) -> bool:
@@ -673,19 +644,14 @@ class ShardWorkerPool:
         self._cold_pending = True
         return True
 
-    def _terminate_all(self) -> None:
-        for proc in self._procs:
-            if proc is not None and proc.is_alive():
-                proc.terminate()
-        for proc in self._procs:
-            if proc is not None and proc.pid is not None:
-                proc.join()
-
     def _break(self) -> None:
-        """A round failed unrecoverably: stop workers, heal on next call.
+        """Stop every worker; the next call heals (all-or-nothing).
 
-        Workers still alive get a shutdown command and a bounded join
-        before being terminated: SIGTERM-ing a live worker can catch its
+        The one shutdown path: a dead or wedged worker, a failed swap
+        and healing break the pool through it, and :meth:`close` runs it
+        before releasing the queues.  Workers
+        still alive get a shutdown command and a bounded join before
+        being terminated: SIGTERM-ing a live worker can catch its
         result-queue feeder thread between writing a reply and releasing
         the queue's shared write lock, which would leave the lock held
         forever and wedge every message a respawned worker tries to
@@ -699,12 +665,17 @@ class ShardWorkerPool:
                     self._cmd_qs[shard_id].put(("shutdown", -1))
                 except (OSError, ValueError):
                     pass
+        # proc.pid is None when proc.start() itself failed (e.g. a spawn
+        # bootstrap error); join/terminate assert on those.
+        procs = [p for p in self._procs if p is not None and p.pid is not None]
         deadline = time.monotonic() + _SHUTDOWN_JOIN_S
-        for proc in self._procs:
-            if proc is None or proc.pid is None:
-                continue
+        for proc in procs:
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        self._terminate_all()
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+        for proc in procs:
+            proc.join()
 
     def _liveness_check(self, waiting_on, died_at: dict, deadline, label: str) -> None:
         """Raise (and break the pool) on dead workers or a passed deadline."""
@@ -742,124 +713,116 @@ class ShardWorkerPool:
                 f"timed out waiting for shard(s) {missing} during {label}"
             )
 
-    def _collect(
-        self,
-        tag: str,
-        seq: int,
-        shard_ids: set,
-        deadline,
-        *,
-        arrivals: dict | None = None,
-        collect_errors: bool = False,
+    def _exchange(
+        self, label, seq, send, deadline, *, limit=None, keep_errors=False, on_reply=None
     ) -> dict:
-        """One tagged reply per shard; crashes surface instead of hanging.
+        """The reply loop: one ``seq`` reply per shard, never a hang.
 
-        ``arrivals``, when given, receives each shard's reply-collection
-        time (``time.monotonic()``) so callers can report per-shard
-        latencies instead of one all-acks-in number.
+        ``send(shard_id)`` dispatches a shard's command; at most ``limit``
+        shards (all when None) hold one at any moment, and the next is
+        sent as each reply lands.  Every reply is ``(tag, shard_id, seq,
+        body, ts)``; one whose ``seq`` is not this round's is a stale
+        leftover of an earlier, failed round and is dropped.  An empty
+        poll checks worker liveness and the deadline (``label`` names
+        the round in a timeout).  An ``error`` reply raises
+        :class:`ShardWorkerError` at once — or, with ``keep_errors``, once
+        *every* shard has replied and is provably idle (the swap needs
+        that before its failure path may terminate anyone).
 
-        With ``collect_errors`` an ``("error", ...)`` reply is stored
-        like an ack instead of raising immediately — for callers (the
-        swap) that must keep waiting until *every* worker has replied
-        and is provably idle before reacting to the failure.
-        """
-        messages: dict[int, tuple] = {}
-        died_at: dict[int, float] = {}
-        while len(messages) < len(shard_ids):
-            try:
-                msg = self._result_q.get(timeout=_POLL_S)
-            except queue_mod.Empty:
-                self._liveness_check(
-                    shard_ids - set(messages), died_at, deadline, tag
-                )
-                continue
-            if msg[2] != seq or msg[1] not in shard_ids:
-                continue  # stale reply from an earlier, failed round
-            if msg[0] == "error" and not collect_errors:
-                raise ShardWorkerError(f"shard {msg[1]} worker raised:\n{msg[3]}")
-            if msg[0] == tag or msg[0] == "error":
-                messages[msg[1]] = msg
-                if arrivals is not None:
-                    arrivals[msg[1]] = time.monotonic()
-        return messages
-
-    def _gather(
-        self, op, seq, enc_queries, search_cfg, map_cfg, deadline, carrier
-    ) -> list:
-        """Staggered dispatch + gather: one result per shard, in shard order.
-
-        At most :attr:`max_concurrent` shards hold a live command at any
-        moment; the next pending shard is dispatched as each result
-        lands, clamping pool concurrency to the host.  Every command has
-        the one shape ``(op, seq, queries, search_cfg, map_cfg, carrier)``
-        (``map_cfg`` is None for ``search``).
-
-        When ``carrier`` is set, each command ships it so the worker
-        traces under it; replies carry the worker's finished spans and
-        metrics delta, ingested here (span timestamps corrected by the
-        shard's PING-estimated clock offset).
+        Returns ``{shard_id: on_reply(shard_id, body, ts)}``, called as
+        each reply lands (the body itself without ``on_reply``).
         """
         num = self.num_shards
+        limit = num if limit is None else limit
         pending = deque(range(num))
-        inflight: set[int] = set()
-        messages: dict[int, tuple] = {}
+        replies: dict[int, object] = {}
+        errors: dict[int, str] = {}
         died_at: dict[int, float] = {}
+        while len(replies) + len(errors) < num:
+            while pending and num - len(pending) - len(replies) - len(errors) < limit:
+                send(pending.popleft())
+            try:
+                tag, shard_id, reply_seq, body, ts = self._result_q.get(timeout=_POLL_S)
+            except queue_mod.Empty:
+                waiting_on = set(range(num)) - replies.keys() - errors.keys()
+                self._liveness_check(waiting_on, died_at, deadline, label)
+                continue
+            if reply_seq != seq:
+                continue  # stale reply from an earlier, failed round
+            if tag == "error":
+                errors[shard_id] = body
+                if not keep_errors:
+                    break
+            else:
+                replies[shard_id] = body if on_reply is None else on_reply(shard_id, body, ts)
+        if errors:
+            shard_id = min(errors)
+            raise ShardWorkerError(f"shard {shard_id} worker raised:\n{errors[shard_id]}")
+        return replies
+
+    def _fan_out(self, op, seq, enc_queries, search_cfg, map_cfg, deadline, carrier) -> list:
+        """Staggered work round: ``(results, (ledger, hits))`` per shard, in order.
+
+        At most :attr:`max_concurrent` shards hold a live command at any
+        moment.  Every command has the one shape ``(op, seq, queries,
+        search_cfg, map_cfg, carrier)`` (``map_cfg`` is None for
+        ``search``).  When tracing, each shard's round trip is a
+        ``pool.command`` span whose context the command ships, so the
+        worker traces under it; replies carry the worker's finished spans
+        and metrics delta, ingested as they land (span timestamps
+        corrected by the shard's PING-estimated clock offset).  A failed
+        round closes its still-open round trips with ``error=<type>``.
+        """
         tracer = get_tracer()
         reg = get_registry()
-        rt_spans: dict = {}  # shard_id → open command round-trip span
         if reg.enabled:
             wait_gauge = reg.gauge(
                 "pool_shard_queue_wait_seconds",
                 "Reply-queue dwell of the shard's last result",
                 labels=("shard",),
             )
-        while len(messages) < num:
-            while pending and len(inflight) < self.max_concurrent:
-                shard_id = pending.popleft()
-                shard_carrier = carrier
-                if tracer.enabled:
-                    # Deliberately not entered: open per-shard round-trip
-                    # spans overlap, so none may own the ambient context.
-                    # Each ships its own context so the worker's spans
-                    # nest under its round trip, not the whole fan-out.
-                    rt = tracer.span("pool.command", shard=shard_id)
-                    rt_spans[shard_id] = rt
-                    if rt.context is not None:
-                        shard_carrier = rt.context.to_carrier()
-                self._cmd_qs[shard_id].put(
-                    (op, seq, enc_queries, search_cfg, map_cfg, shard_carrier)
-                )
-                inflight.add(shard_id)
-            try:
-                msg = self._result_q.get(timeout=_POLL_S)
-            except queue_mod.Empty:
-                self._liveness_check(
-                    set(range(num)) - set(messages), died_at, deadline, op
-                )
-                continue
-            if msg[2] != seq:
-                continue  # stale reply from an earlier, failed round
-            if msg[0] == "error":
-                raise ShardWorkerError(f"shard {msg[1]} worker raised:\n{msg[3]}")
-            if msg[0] != "ok":
-                continue
-            _, shard_id, _, results, ledger, hits, done_ts, obs = msg
-            # CLOCK_MONOTONIC is system-wide, so the worker's reply stamp
-            # compares across processes on one host: transfer plus time
-            # spent behind other shards' results.
+        rt_spans: dict = {}  # shard_id → open command round-trip span
+
+        def send(shard_id):
+            shard_carrier = carrier
+            if tracer.enabled:
+                # Deliberately not entered: open per-shard round-trip
+                # spans overlap, so none may own the ambient context.
+                # Each ships its own context so the worker's spans
+                # nest under its round trip, not the whole fan-out.
+                rt = rt_spans[shard_id] = tracer.span("pool.command", shard=shard_id)
+                shard_carrier = rt.context.to_carrier()
+            self._cmd_qs[shard_id].put(
+                (op, seq, enc_queries, search_cfg, map_cfg, shard_carrier)
+            )
+
+        def on_reply(shard_id, body, done_ts):
+            results, ledger, hits, metrics, spans = body
+            # CLOCK_MONOTONIC is system-wide, so the worker's reply
+            # stamp compares across processes on one host: transfer
+            # plus time spent behind other shards' results.
             wait = max(0.0, time.monotonic() - done_ts)
-            if obs["metrics"] and reg.enabled:
-                reg.merge(obs["metrics"])
-            if obs["spans"] and tracer.enabled:
-                tracer.ingest(obs["spans"], offset=self._clock_offsets.get(shard_id))
+            if metrics and reg.enabled:
+                reg.merge(metrics)
+            if spans and tracer.enabled:
+                tracer.ingest(spans, offset=self._clock_offsets.get(shard_id))
             rt = rt_spans.pop(shard_id, None)
             if rt is not None:
                 rt.set(queue_wait_s=round(wait, 6)).finish()
             if reg.enabled:
                 wait_gauge.set(wait, shard=shard_id)
-            messages[shard_id] = (results, (ledger, hits))
-            inflight.discard(shard_id)
-        return [messages[i] for i in sorted(messages)]
+            return results, (ledger, hits)
+
+        try:
+            replies = self._exchange(
+                op, seq, send, deadline, limit=self.max_concurrent, on_reply=on_reply
+            )
+        except BaseException as exc:
+            # A failed round still records every round trip it opened.
+            for rt in rt_spans.values():
+                rt.close(type(exc))
+            raise
+        return [replies[shard_id] for shard_id in range(self.num_shards)]
 
     def __repr__(self):
         state = (

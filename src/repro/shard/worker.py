@@ -11,9 +11,9 @@ Startup: the worker builds its engine **once**, attaches its payload (for
 :class:`~repro.shard.plan.SharedRecordPayload` this maps the published
 shared-memory segment and builds zero-copy record views — after the
 engine, so a bad engine config never dies holding live views), and
-reports ``("ready", shard_id, -1, ts)``.  It then blocks on the command queue and services commands until told to
-stop — the whole point: spawn + attach + engine build are paid once and
-amortized over every subsequent search.
+reports ``ready``.  It then blocks on the command queue and services
+commands until told to stop — the whole point: spawn + attach + engine
+build are paid once and amortized over every subsequent search.
 
 Per work command the worker asks its resident payload for a shard view
 (:class:`~repro.search.seeds.ReferenceShard` over the attached records)
@@ -27,21 +27,29 @@ view build included: the ``worker.{op}`` span when traced, and one
 ``pool_shard_search_seconds{shard}`` observation, which reaches the
 parent in the reply's metrics delta.
 
-Command protocol (parent → worker on the per-worker command queue; every
-reply carries ``(tag, shard_id, seq, ..., done_ts)`` on the shared result
-queue, where ``seq`` echoes the command's sequence number so the parent
-can discard stale replies after a failed run).  Work commands share one
-shape, ``(op, seq, queries, search_cfg, map_cfg, carrier)``, and one
-reply, ``("ok", shard_id, seq, results, ledger, hits, ts, obs)``, where
-``ledger`` is the shard run's :class:`~repro.engine.stages.PipelineStats`
-and ``hits`` the number of results it returns.
-``search_cfg`` is a resolved :class:`~repro.search.pipeline.SearchConfig`
-whose windowing the shard view maps its hits onto.  ``carrier`` (None =
-untraced) is a propagated trace position: the worker traces the command
-under it and ships the finished spans back in ``obs["spans"]``, alongside
-the metrics-registry delta since its previous reply (``obs["metrics"]`` —
-counters/histograms only, so cross-process merging never clobbers parent
-gauges) and its wall clock (``obs["wall"]``).
+Command protocol: the parent sends commands on the per-worker command
+queue; every reply on the shared result queue has the one shape
+``(tag, shard_id, seq, body, ts)``, where ``seq`` echoes the command's
+sequence number (so the parent can discard stale replies after a failed
+round) and ``ts`` is the worker's ``time.monotonic()`` at sending.
+
+* startup → ``ready``, body None, ``seq == -1``;
+* ``(op, seq, queries, search_cfg, map_cfg, carrier)`` → ``ok``, body
+  ``(results, ledger, hits, metrics, spans)``;
+* ``("swap", seq, payload)`` → ``swapped``, body None;
+* ``("ping", seq)`` → ``pong``, body the worker's ``time.time()``;
+* ``("shutdown", seq)`` → no reply;
+* a command that raises → ``error``, body the formatted traceback.
+
+Work commands (``op`` is ``"search"`` or ``"map"``): ``search_cfg`` is a
+resolved :class:`~repro.search.pipeline.SearchConfig` whose windowing the
+shard view maps its hits onto.  ``ledger`` is the shard run's
+:class:`~repro.engine.stages.PipelineStats` and ``hits`` the number of
+results it returns.  ``carrier`` (None = untraced) is a propagated trace
+position: the worker traces the command under it and ships the finished
+spans back in ``spans``, alongside ``metrics``, the metrics-registry delta
+since its previous reply (counters/histograms only, so cross-process
+merging never clobbers parent gauges).
 
 * ``op == "search"`` (``map_cfg`` None) — ``results`` is one bounded
   per-query top-K over the shard's owned windows of the resident
@@ -56,22 +64,19 @@ gauges) and its wall clock (``obs["wall"]``).
 
 Control commands:
 
-* ``("swap", seq, payload)`` → ``("swapped", shard_id, seq, ts)`` —
-  attach the new reference payload, then drop the old attachment;
-  queries never observe a half-swapped state because the flip happens
-  between commands, and the parent unlinks the old segment only after
-  every worker has acknowledged.
-* ``("ping", seq)`` → ``("pong", shard_id, seq, ts, wall)`` — liveness
-  probe; ``wall`` is the worker's ``time.time()``, from which the parent
-  estimates the clock offset that aligns shipped span timestamps.
-* ``("shutdown", seq)`` → no reply; the worker closes its engine,
-  detaches, and exits 0.
+* ``swap`` — attach the new reference payload, then drop the old
+  attachment; queries never observe a half-swapped state because the
+  flip happens between commands, and the parent unlinks the old segment
+  only after every worker has acknowledged.
+* ``ping`` — liveness probe; the parent estimates from the ``pong``'s
+  wall clock the offset that aligns shipped span timestamps.
+* ``shutdown`` — the worker closes its engine, detaches, and exits 0.
 
-Any exception while serving a command is reported as ``("error",
-shard_id, seq, formatted_traceback, ts)`` and the loop *continues* — one
-failed search must not take the shard down.  Startup failures report with
-``seq == -1`` and exit.  A worker that dies without reporting at all
-(hard crash, OOM kill) is detected by the parent via exit-code polling.
+Any exception while serving a command is reported as an ``error`` reply
+and the loop *continues* — one failed search must not take the shard
+down.  Startup failures report with ``seq == -1`` and exit.  A worker
+that dies without reporting at all (hard crash, OOM kill) is detected by
+the parent via exit-code polling.
 """
 
 from __future__ import annotations
@@ -99,8 +104,9 @@ def shard_engine_workers(plan: ShardPlan) -> int | None:
     count.  With more shards than cores each worker still gets one thread
     (the old ``max(1, cores // num_shards)`` clamp), and the concurrency
     excess is handled where it belongs: the pool staggers its dispatch so
-    at most ``cpu_count`` shard searches are in flight at once
-    (:attr:`~repro.shard.pool.ShardWorkerPool.max_concurrent`), instead
+    at most ``cpu_count`` shard searches are in flight at once (the
+    read-only :attr:`~repro.shard.pool.ShardWorkerPool.max_concurrent`,
+    the same ``min(num_shards, cpu_count)``), instead
     of running ``num_shards`` single-threaded workers against
     ``cpu_count`` cores simultaneously and paying the oversubscription in
     context switches.
@@ -178,6 +184,10 @@ def _work(resident, engine, plan: ShardPlan, shard_id: int, tracer, cmd):
 
 def run_pool_worker(plan: ShardPlan, shard_id: int, payload, cmd_q, out_q) -> None:
     """Serve search commands for one shard until shutdown (see module doc)."""
+
+    def reply(tag, seq, body=None):
+        out_q.put((tag, shard_id, seq, body, time.monotonic()))
+
     resident = engine = None
     try:
         # Engine first: it depends only on the plan, so a bad config dies
@@ -187,13 +197,13 @@ def run_pool_worker(plan: ShardPlan, shard_id: int, payload, cmd_q, out_q) -> No
         engine = plan.engine.build(scheme, max_workers=shard_engine_workers(plan))
         resident = _attach(payload)
     except BaseException:
-        out_q.put(("error", shard_id, -1, traceback.format_exc(), time.monotonic()))
+        reply("error", -1, traceback.format_exc())
         if resident is not None:
             _detach(resident)
         if engine is not None:
             engine.close()
         return
-    out_q.put(("ready", shard_id, -1, time.monotonic()))
+    reply("ready", -1)
     tracer = get_tracer()
     tracer.process = f"shard-{shard_id}"
     # A forked child inherits the parent's tracer state; shipping those
@@ -210,12 +220,12 @@ def run_pool_worker(plan: ShardPlan, shard_id: int, payload, cmd_q, out_q) -> No
                 if op == "shutdown":
                     return
                 if op == "ping":
-                    out_q.put(("pong", shard_id, seq, time.monotonic(), time.time()))
+                    reply("pong", seq, time.time())
                 elif op == "swap":
                     fresh = _attach(cmd[2])
                     old, resident = resident, fresh
                     _detach(old)
-                    out_q.put(("swapped", shard_id, seq, time.monotonic()))
+                    reply("swapped", seq)
                 elif op in ("search", "map"):
                     carrier = cmd[5]
                     if carrier is not None:
@@ -228,24 +238,18 @@ def run_pool_worker(plan: ShardPlan, shard_id: int, payload, cmd_q, out_q) -> No
                     cur_metrics = registry.snapshot()
                     delta = MetricsRegistry.diff(prev_metrics, cur_metrics)
                     prev_metrics = cur_metrics
-                    obs = {
-                        # Gauges are point-in-time per-process readings; the
-                        # parent keeps its own per-shard gauges instead.
-                        "metrics": {
-                            name: entry
-                            for name, entry in delta.items()
-                            if entry["kind"] != "gauge"
-                        },
-                        "spans": spans,
-                        "wall": time.time(),
+                    # Gauges are point-in-time per-process readings; the
+                    # parent keeps its own per-shard gauges instead.
+                    metrics = {
+                        name: entry
+                        for name, entry in delta.items()
+                        if entry["kind"] != "gauge"
                     }
-                    out_q.put(("ok", shard_id, seq, *work, time.monotonic(), obs))
+                    reply("ok", seq, (*work, metrics, spans))
                 else:
                     raise ValueError(f"unknown pool command {op!r}")
             except BaseException:
-                out_q.put(
-                    ("error", shard_id, seq, traceback.format_exc(), time.monotonic())
-                )
+                reply("error", seq, traceback.format_exc())
     finally:
         engine.close()
         _detach(resident)

@@ -343,9 +343,60 @@ class _HangBomb:
         return iter(())
 
 
+class _FirstCommandBomb:
+    """Chunk payload whose shard 1 raises on its first command only.
+
+    Each worker holds its own unpickled copy, so ``_fired`` is per shard.
+    """
+
+    def __init__(self, payload):
+        self.payload = payload
+        self._fired = False
+
+    def shard_view(self, plan, shard_id):
+        if shard_id == 1 and not self._fired:
+            self._fired = True
+            raise RuntimeError("injected first-command failure")
+        return self.payload.shard_view(plan, shard_id)
+
+
 class TestWorkerFailures:
     def _plan(self):
         return ShardPlan(num_shards=2, start_method="fork")
+
+    def _first_command_bombed(self, chunks):
+        payloads, _, _ = build_pool_payloads(iter(chunks), self._plan())
+        return ShardWorkerPool(
+            plan=self._plan(),
+            timeout=120,
+            payloads=[_FirstCommandBomb(p) for p in payloads],
+        )
+
+    def test_failed_round_leaves_no_stale_reply(self):
+        """The round after a worker error equals single-process search: a
+        sibling's reply to the failed round (another query set) is dropped
+        by its seq."""
+        ref, queries = _planted_instance(6000, 3, 80, seed=33)
+        chunks = list(chunk_sequence(ref, 160, 96))
+        with self._first_command_bombed(chunks) as pool:
+            with pytest.raises(ShardWorkerError, match="injected first-command"):
+                pool.search_topk(queries[:1])
+            got = pool.search_topk(queries)
+            assert pool.stats.respawns == 0
+        assert _hit_keys(got) == _hit_keys(search_topk(queries, chunks))
+
+    def test_failed_round_records_its_spans(self):
+        ref, queries = _planted_instance(6000, 3, 80, seed=34)
+        with traced_spans() as spans:
+            with self._first_command_bombed(list(chunk_sequence(ref, 160, 96))) as pool:
+                with pytest.raises(ShardWorkerError):
+                    pool.search_topk(queries)
+        commands = {s.attrs["shard"]: s for s in spans if s.name == "pool.command"}
+        assert len(commands) == len([s for s in spans if s.name == "pool.command"])
+        assert sorted(commands) == [0, 1]
+        assert commands[1].attrs["error"] == "ShardWorkerError"
+        (round_span,) = [s for s in spans if s.name == "pool.search_topk"]
+        assert round_span.attrs["error"] == "ShardWorkerError"
 
     def _bombed(self, bomb, timeout=120):
         return ShardWorkerPool(plan=self._plan(), timeout=timeout, payloads=[bomb] * 2)

@@ -302,17 +302,26 @@ class TestPoolLifecycle:
             assert "Shard worker pool" in pool.report()
             assert pool.stats.pings == 1
 
-    def test_max_concurrent_is_host_clamped_and_overridable(self):
+    def test_max_concurrent_is_host_clamped_and_overridable(self, monkeypatch):
         ref, queries, _ = planted_instance(6000, 2, 60, seed=60)
         cores = os.cpu_count() or 1
         pool = ShardWorkerPool(ref, plan=_plan(num_shards=4, k=2), timeout=120)
         assert pool.max_concurrent == min(4, cores)
         pool.close()
-        with ShardWorkerPool(
-            ref, plan=_plan(num_shards=4, k=2), timeout=120, max_concurrent=1
-        ) as pool:
-            got = pool.search_topk(queries)
-            assert hit_keys(got) == hit_keys(search_topk(queries, ref, k=2))
+        # A one-core host clamps a 4-shard pool to one command in flight:
+        # each shard's round trip starts only after the previous one ended.
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        with traced_spans() as spans:
+            with ShardWorkerPool(ref, plan=_plan(num_shards=4, k=2), timeout=120) as pool:
+                assert pool.max_concurrent == 1
+                got = pool.search_topk(queries)
+        assert hit_keys(got) == hit_keys(search_topk(queries, ref, k=2))
+        trips = sorted(
+            (s for s in spans if s.name == "pool.command"), key=lambda s: s.start_us
+        )
+        assert [s.attrs["shard"] for s in trips] == [0, 1, 2, 3]
+        for prev, nxt in zip(trips, trips[1:]):
+            assert nxt.start_us >= prev.start_us + prev.dur_us - 1000.0
 
 
 class TestPoolReuse:
