@@ -35,6 +35,7 @@ from typing import Iterable, Iterator, Protocol, runtime_checkable
 import numpy as np
 
 from repro.obs import get_logger, get_registry, get_tracer, timed
+from repro.obs.metrics import fold_ledger
 from repro.util.checks import check_positive
 
 #: Module-level so the hot loop pays a global load, not a dict lookup.
@@ -245,9 +246,8 @@ class PipelineStats:
 
 
 #: Additive PipelineStats fields, each with the counter its per-run delta
-#: folds into as ``(metric, help, extra labels)`` — None for a field kept
-#: on the ledger only.  ``merge``, ``as_dict`` and the metrics fold all
-#: read it.
+#: folds into (None: ledger only).  ``merge``, ``as_dict`` and
+#: :func:`~repro.obs.metrics.fold_ledger` all read it.
 _REQUESTS_HELP = "Prefilter dispositions of candidate requests"
 _CELLS_HELP = "DP cells relaxed or skipped, by cause"
 _PIPELINE_COUNTERS = {
@@ -440,15 +440,14 @@ class StreamPipeline:
     def _drive(self) -> Iterator[object]:
         st = self.stats
         reg = get_registry()
+        base = vars(st).copy()
+        depth_gauge = None
         if reg.enabled:
-            base = {f: getattr(st, f) for f in _PIPELINE_COUNTERS}
             depth_gauge = reg.gauge(
                 "pipeline_buffered_requests",
                 "Requests currently buffered in the batcher (backpressure queue depth)",
                 labels=("pipeline",),
             )
-        else:
-            base = depth_gauge = None
         pending: deque = deque()  # (batch, future) in submission order
 
         def submit(batch: Batch):
@@ -518,23 +517,7 @@ class StreamPipeline:
         st.stages["reduce"].add(0)
         yield from tail
         self._sync_prefilter()
-        if base is not None:
-            self._record_metrics(reg, base)
-
-    def _record_metrics(self, reg, base: dict):
-        """Fold this run's PipelineStats delta into the metrics registry.
-
-        Deltas (not absolutes) so shared/merged stats objects and repeated
-        runs never double-count.
-        """
-        for f, counter in _PIPELINE_COUNTERS.items():
-            if counter is None:
-                continue
-            name, help_, extra = counter
-            delta = getattr(self.stats, f) - base[f]
-            reg.counter(name, help_, labels=("pipeline", *extra)).inc(
-                delta, pipeline=self.trace_name, **extra
-            )
+        fold_ledger(_PIPELINE_COUNTERS, st, base, pipeline=self.trace_name)
 
     def drain(self) -> PipelineStats:
         """Run to completion discarding emissions; returns the stats."""

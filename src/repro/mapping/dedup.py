@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.mapping.extend import Placement, placement_key
+from repro.obs.metrics import fold_ledger
 from repro.search.topk import TopKReducer, _RevStr
 from repro.util.checks import check_positive
 
@@ -54,11 +55,23 @@ def placement_rank(p: Placement) -> tuple:
 @dataclass
 class DedupStats:
     """Counts of one dedup pass (perf.report's dedup rows); its time is
-    the ``map.dedup`` span."""
+    the ``map.dedup`` span.  :func:`merge_mapped`, where every map path
+    ends, folds them once through the field table below."""
 
+    reads: int = 0  # reads merged
     offered: int = 0
     duplicates: int = 0  # collapsed into an already-seen placement
     kept: int = 0  # distinct placements that made the final top-K
+
+
+#: DedupStats field → the counter a merge's count folds into.
+_OFFERS_HELP = "Placements offered to dedup, and those collapsed as duplicates"
+_DEDUP_COUNTERS = {
+    "reads": ("mapping_reads_total", "Reads mapped", {}),
+    "offered": ("mapping_dedup_total", _OFFERS_HELP, {"outcome": "offered"}),
+    "duplicates": ("mapping_dedup_total", _OFFERS_HELP, {"outcome": "duplicate"}),
+    "kept": ("mapping_placements_total", "Final placements returned", {}),
+}
 
 
 class PlacementDedup:
@@ -89,12 +102,6 @@ class PlacementDedup:
             return False
         seen[key] = p
         return True
-
-    def absorb(self, per_read: list) -> None:
-        """Fold per-read placement lists (another instance's results) in."""
-        for placements in per_read:
-            for p in placements:
-                self.offer(p)
 
     def results(self) -> list[list[Placement]]:
         """Final per-read placements, best first, at most ``k`` each."""
@@ -127,6 +134,7 @@ def merge_mapped(
     ``num_oriented``, and the search's ``hit_k``/``min_score``), and only
     placements whose hit survives that global merge reach the dedup —
     exactly the hit set a single-process run would have extended.
+    ``stats``, if given, is a fresh :class:`DedupStats` for the merge.
     """
     reducer = TopKReducer(num_oriented, k=hit_k, min_score=min_score)
     for per_read in shard_lists:
@@ -146,4 +154,7 @@ def merge_mapped(
             for p in placements:
                 if (p.hit.query_id, p.hit.chunk_id) in surviving:
                     dedup.offer(p)
-    return dedup.results()
+    final = dedup.results()
+    dedup.stats.reads = num_reads
+    fold_ledger(_DEDUP_COUNTERS, dedup.stats)
+    return final

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.traceback import align_pairs
 from repro.mapping.cigar import cigar_string, from_alignment
-from repro.obs import get_registry
+from repro.obs.metrics import fold_ledger
 
 __all__ = ["ExtendStats", "Placement", "extend_hit", "extend_hits"]
 
@@ -98,7 +98,8 @@ def placement_key(p: Placement) -> tuple:
 @dataclass
 class ExtendStats:
     """Counts of one extension pass (perf.report's extend rows); its
-    time is the ``map.extend`` span."""
+    time is the ``map.extend`` span.  Each :func:`extend_hits` call folds
+    its delta once through the field table below."""
 
     hits: int = 0
     banded: int = 0  # envelope slice accepted by the certificate
@@ -111,6 +112,19 @@ class ExtendStats:
     @property
     def cells(self) -> int:
         return self.cells_banded + self.cells_full
+
+
+#: ExtendStats field → the counter its delta folds into (None: ledger only).
+_EXTEND_HELP = "Hits extended to exact placements, by traceback path"
+_EXTEND_COUNTERS = {
+    "hits": None,
+    "banded": ("mapping_extend_total", _EXTEND_HELP, {"path": "banded"}),
+    "fallback_score": None,
+    "fallback_edge": None,
+    "full": ("mapping_extend_total", _EXTEND_HELP, {"path": "full"}),
+    "cells_banded": None,
+    "cells_full": None,
+}
 
 
 def _result_to_placement(res, hit, query_id, strand, qlen, window_offset) -> Placement:
@@ -152,6 +166,7 @@ def extend_hits(
     failed.  Each placement equals the one a lone hit gets.
     """
     stats = stats if stats is not None else ExtendStats()
+    base = vars(stats).copy()
     jobs = []
     for query, hit, window, query_id, strand in items:
         if window is None:
@@ -197,16 +212,7 @@ def extend_hits(
         stats.full += 1
         placed[k] = _result_to_placement(res, hit, qid, strand, q.size, 0)
 
-    reg = get_registry()
-    if reg.enabled:
-        counter = reg.counter(
-            "mapping_extend_total",
-            "Hits extended to exact placements, by traceback path",
-            labels=("path",),
-        )
-        for path, count in (("banded", len(jobs) - len(whole)), ("full", len(whole))):
-            if count:
-                counter.inc(count, path=path)
+    fold_ledger(_EXTEND_COUNTERS, stats, base)
     return placed
 
 

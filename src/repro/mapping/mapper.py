@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.mapping.dedup import DedupStats, merge_mapped
 from repro.mapping.extend import ExtendStats, Placement, extend_hits
-from repro.obs import get_registry, get_tracer
+from repro.obs import get_tracer
 from repro.search.pipeline import (
     SearchConfig,
     _chunk_source,
@@ -104,7 +104,6 @@ class MappingConfig:
 _MAPPING_FIELDS = frozenset(
     f.name for f in dataclasses.fields(MappingConfig) if f.name != "search"
 )
-_SEARCH_FIELDS = frozenset(f.name for f in dataclasses.fields(SearchConfig))
 
 
 def resolve_config(config: MappingConfig | None = None, **kwargs) -> MappingConfig:
@@ -118,15 +117,14 @@ def resolve_config(config: MappingConfig | None = None, **kwargs) -> MappingConf
     ``search.k`` (override via ``config=``).
     """
     cfg = config if config is not None else MappingConfig()
-    map_kw = {k: v for k, v in kwargs.items() if k in _MAPPING_FIELDS}
-    search_kw = {k: v for k, v in kwargs.items() if k in _SEARCH_FIELDS and k != "k"}
-    unknown = set(kwargs) - set(map_kw) - set(search_kw)
-    if unknown:
-        raise ValidationError(f"unknown mapping parameter(s): {sorted(unknown)}")
-    if search_kw:
-        cfg = replace(cfg, search=replace(cfg.search, **search_kw))
-    if map_kw:
-        cfg = replace(cfg, **map_kw)
+    map_kw = {k: kwargs.pop(k) for k in _MAPPING_FIELDS & kwargs.keys()}
+    try:
+        search_cfg = cfg.search.with_overrides(**kwargs)
+    except ValidationError as exc:
+        # Unknown names are reported as the mapping call's own.
+        raise ValidationError(str(exc).replace("unknown search", "unknown mapping")) from None
+    if map_kw or search_cfg is not cfg.search:
+        cfg = replace(cfg, search=search_cfg, **map_kw)
     return cfg
 
 
@@ -304,7 +302,7 @@ def map_reads(
                 min_score=cfg.search.min_score,
                 stats=dd,
             )
-    result = MappingResult(
+    return MappingResult(
         placements=final,
         num_reads=len(enc_reads),
         config=cfg,
@@ -312,15 +310,6 @@ def map_reads(
         dedup=dd,
         search_stats=run_stats,
     )
-    reg = get_registry()
-    if reg.enabled:
-        reg.counter("mapping_reads_total", "Reads mapped by map_reads").inc(
-            len(enc_reads)
-        )
-        reg.counter(
-            "mapping_placements_total", "Final placements returned by map_reads"
-        ).inc(result.total_placements)
-    return result
 
 
 def map_one(read, database, *, engine=None, config=None, **kwargs) -> list[Placement]:

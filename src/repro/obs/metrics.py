@@ -39,6 +39,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "fold_ledger",
     "get_registry",
     "DEFAULT_LATENCY_BUCKETS",
 ]
@@ -433,3 +434,22 @@ _GLOBAL = MetricsRegistry()
 def get_registry() -> MetricsRegistry:
     """The process-wide default metrics registry (always on by default)."""
     return _GLOBAL
+
+
+def fold_ledger(table: dict, ledger, base: dict | None = None, **labels) -> None:
+    """Fold one call's ledger delta into the process registry: the one way
+    a ``*Stats`` ledger reaches it.
+
+    ``table`` maps each ledger field to ``(metric, help, fixed labels)``,
+    or to None for a field kept on the ledger only.  ``base`` is a copy of
+    ``vars(ledger)`` from the call's start (None: the ledger is the call's
+    own).  Zero deltas fold too, so each series exists from the first call.
+    """
+    if not _GLOBAL.enabled:
+        return
+    for f, counter in table.items():
+        if counter is None:
+            continue
+        name, help_, fixed = counter
+        delta = getattr(ledger, f) - (base[f] if base is not None else 0)
+        _GLOBAL.counter(name, help_, labels=(*labels, *fixed)).inc(delta, **labels, **fixed)

@@ -7,13 +7,12 @@ service doesn't grow an unbounded sample) and the occupancy of every
 dispatched batch (how full the lanes actually were), plus the admission
 decisions — queue-depth high-water mark and rejection counts by cause.
 
-Since the observability pass, the counter state lives in a private
-:class:`~repro.obs.metrics.MetricsRegistry` — ``stats.registry`` is
-scrapeable as Prometheus text or mergeable into a process-wide registry —
-while the historical attribute surface (``submitted``, ``rejected``,
-``occupancy``, ...) is preserved as views over it.  Only the latency
-reservoir (exact percentiles need the sample, not fixed buckets) and the
-queue high-water mark stay plain fields.  Rendered by
+Each count lives once, in a private
+:class:`~repro.obs.metrics.MetricsRegistry` (``stats.registry``), and each
+``note_*`` call increments one series.  The attributes (``submitted``,
+``rejected``, ``occupancy``, ...) are read views over those series.  Only
+the latency reservoir (exact percentiles need the sample, not fixed
+buckets) and the queue high-water mark stay plain fields.  Rendered by
 :func:`repro.perf.report.service_stats_table`.
 """
 
@@ -64,9 +63,8 @@ class ServiceStats:
 
     Thread-safe: the asyncio loop thread mutates it, sync-facade threads
     read snapshots concurrently.  Counters are backed by a private
-    metrics registry (``stats.registry``); the attribute surface below is
-    a read view over it, so existing callers and tests see the exact
-    values they always did.
+    metrics registry (``stats.registry``); the attributes below are read
+    views over it.
     """
 
     def __init__(self, latency_sample: int = 8192, registry: MetricsRegistry | None = None):
@@ -76,11 +74,6 @@ class ServiceStats:
         self._submitted = r.counter("serve_submitted_total", "Requests admitted")
         self._completed = r.counter("serve_completed_total", "Requests resolved OK")
         self._failed = r.counter("serve_failed_total", "Requests resolved with errors")
-        self._rejected = r.counter(
-            "serve_rejected_total",
-            "Requests shed at admission or expiry, by cause",
-            labels=("cause",),
-        )
         self._deadline = r.counter(
             "serve_deadline_exceeded_total",
             "Requests expired past their deadline, by pipeline stage",
@@ -116,27 +109,15 @@ class ServiceStats:
             if depth > self.queue_depth_hwm:
                 self.queue_depth_hwm = depth
 
-    def note_reject(self, cause: str):
-        self._rejected.inc(cause=cause)
-
     def note_deadline(self, stage: str):
-        """A request expired past its deadline at ``stage``.
-
-        Increments the dedicated stage-labeled counter *and* the legacy
-        ``serve_rejected_total{cause="deadline"}`` series, so every
-        pre-existing consumer of ``rejected`` keeps its numbers.
-        """
-        self._rejected.inc(cause="deadline")
+        """A request expired past its deadline at ``stage``
+        (``serve_deadline_exceeded_total{stage}``)."""
         self._deadline.inc(stage=stage)
 
     def note_admission_reject(self, cause: str, priority: str):
-        """The admission gate refused a request outright (never accepted).
-
-        Also feeds the legacy cause-only ``serve_rejected_total`` series;
-        the dedicated counter adds the priority dimension the shed loop
-        needs (was BULK actually the class being shed?).
-        """
-        self._rejected.inc(cause=cause)
+        """The admission gate refused a request outright, never accepting
+        it (``serve_admission_rejected_total{cause, priority}``: the
+        priority says whether BULK was the class being shed)."""
         self._admission_rejected.inc(cause=cause, priority=priority)
 
     def note_batch(self, size: int, cause: str):
@@ -152,7 +133,7 @@ class ServiceStats:
     def note_failed(self):
         self._failed.inc()
 
-    # -- reading: registry-backed views of the historical attributes --------
+    # -- reading: views over the registry series ---------------------------
     @property
     def submitted(self) -> int:
         return int(self._submitted.value())
@@ -167,8 +148,14 @@ class ServiceStats:
 
     @property
     def rejected(self) -> dict:
-        """cause → count (queue_full, deadline, closed)."""
-        return {cause: int(c) for (cause,), c in self._rejected.series().items()}
+        """cause → requests shed: the admission causes (queue_full, shed,
+        closed) summed over priority, and ``deadline`` summed over stage."""
+        out: dict = {}
+        for (cause, _priority), count in self.admission_rejected.items():
+            out[cause] = out.get(cause, 0) + count
+        if expired := sum(self.deadline_exceeded.values()):
+            out["deadline"] = expired
+        return out
 
     @property
     def deadline_exceeded(self) -> dict:
@@ -200,12 +187,6 @@ class ServiceStats:
     @property
     def batched_requests(self) -> int:
         return sum(size * count for size, count in self.occupancy.items())
-
-    @property
-    def mean_occupancy(self) -> float:
-        occ = self.occupancy
-        batches = sum(occ.values())
-        return sum(s * c for s, c in occ.items()) / batches if batches else 0.0
 
     def occupancy_histogram(self) -> list[tuple[str, int]]:
         """(bucket label, batches) rows over power-of-two occupancy bins."""

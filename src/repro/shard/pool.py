@@ -64,13 +64,15 @@ import queue as queue_mod
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import replace
 
 from repro.obs import ClockOffset, get_registry, get_tracer
+from repro.obs.metrics import fold_ledger
 from repro.search.pipeline import SearchConfig
 from repro.search.topk import Hit, TopKReducer
 from repro.shard.plan import ShardPlan, build_pool_payloads
-from repro.shard.stats import PoolStats
+from repro.shard.stats import _POOL_COUNTERS, PoolStats
 from repro.shard.worker import run_pool_worker
 from repro.util.checks import ReproError, ValidationError
 from repro.util.encoding import encode
@@ -91,21 +93,8 @@ _DEAD_GRACE_S = 5.0
 #: terminating it.
 _SHUTDOWN_JOIN_S = 5.0
 
-#: Per worker op: the round's span, its size attribute, and its counter.
-_ROUNDS = {
-    "search": (
-        "pool.search_topk",
-        "queries",
-        "pool_searches_total",
-        "Pool search rounds, by worker warmth",
-    ),
-    "map": (
-        "pool.map_topk",
-        "reads",
-        "pool_maps_total",
-        "Pool mapping rounds, by worker warmth",
-    ),
-}
+#: Per worker op: the round's span and its size attribute.
+_ROUNDS = {"search": ("pool.search_topk", "queries"), "map": ("pool.map_topk", "reads")}
 
 
 class ShardError(ReproError):
@@ -424,14 +413,14 @@ class ShardWorkerPool:
                 "engines from plan.search's scheme once; serve another scheme "
                 "from a pool built with it"
             )
-        span_name, size_attr, counter, counter_help = _ROUNDS[op]
+        span_name, size_attr = _ROUNDS[op]
         tracer = get_tracer()
         with tracer.span(
             span_name,
             parent=carrier,
             shards=self.num_shards,
             **{size_attr: len(enc_queries)},
-        ) as sp, self._lock:
+        ) as sp, self._counted():
             cold = self._ensure_workers() or self._cold_pending
             self._cold_pending = False
             mode = "cold" if cold else "warm"
@@ -444,10 +433,7 @@ class ShardWorkerPool:
                 self._deadline(timeout), wcarrier,
             )
             merged = merge([results for results, _ in replies])
-            self.stats.record_round(mode, [shipped for _, shipped in replies])
-            reg = get_registry()
-            if reg.enabled:
-                reg.counter(counter, counter_help, labels=("mode",)).inc(mode=mode)
+            self.stats.record_round(op, mode, [shipped for _, shipped in replies])
             return merged
 
     def swap_reference(self, database) -> None:
@@ -463,18 +449,13 @@ class ShardWorkerPool:
         call respawns them onto the old, still-published reference, so
         callers never see results merged across two references.
         """
-        with self._lock:
+        with self._counted():
             if not self._started:
                 self.start(database)
                 return
             self._ensure_workers()
             with get_tracer().span("pool.swap", shards=self.num_shards):
                 self._swap(database)
-            reg = get_registry()
-            if reg.enabled:
-                reg.counter(
-                    "pool_swaps_total", "Online reference swaps committed"
-                ).inc()
 
     def _swap(self, database) -> None:
         """Publish, flip every worker, then unlink the old segment."""
@@ -532,7 +513,7 @@ class ShardWorkerPool:
         registry as health gauges.
         """
         tracer = get_tracer()
-        with self._lock, tracer.span("pool.ping", shards=self.num_shards):
+        with self._counted(), tracer.span("pool.ping", shards=self.num_shards):
             self._ensure_workers()
             seq = self._next_seq()
             t0 = time.monotonic()
@@ -572,6 +553,17 @@ class ShardWorkerPool:
         return pool_stats_table(self)
 
     # -- internals -----------------------------------------------------------
+    @contextmanager
+    def _counted(self):
+        """Hold the pool lock for one call; fold its :class:`PoolStats`
+        delta into the registry on the way out, even when the call fails."""
+        with self._lock:
+            base = vars(self.stats).copy()
+            try:
+                yield
+            finally:
+                fold_ledger(_POOL_COUNTERS, self.stats, base)
+
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
@@ -636,11 +628,6 @@ class ShardWorkerPool:
         self._spawn_all()
         self.stats.respawns += self.num_shards
         self._clock_offsets.clear()  # fresh workers, fresh clocks
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter(
-                "pool_respawns_total", "Workers respawned by all-or-nothing healing"
-            ).inc(self.num_shards)
         self._cold_pending = True
         return True
 

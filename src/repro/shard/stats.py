@@ -4,9 +4,9 @@ Each worker ships its shard's :class:`~repro.engine.stages.PipelineStats`
 and hit count in its reply.  :class:`PoolStats` keeps the last round's
 ledgers in shard order plus its warmth — **warm** (resident workers
 reused) or **cold** (paid the spawn) — and derives the per-shard rows and
-round totals from them on read: the same ledger the worker folded into
-its ``pipeline_*`` counters.  It also counts rounds by warmth, reference
-swaps, and respawns after worker deaths.  Rendered by
+round totals from them on read.  Its own counts — rounds by op and
+warmth, swaps, respawns — fold into the ``pool_*`` counters once per
+pool call, through the field table below.  Rendered by
 :func:`repro.perf.report.pool_stats_table`.
 
 These are counts only.  Each timed region is read once, by
@@ -20,10 +20,23 @@ attribute and the ``pool_shard_queue_wait_seconds`` gauge; the merge is
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["PoolStats"]
+
+#: PoolStats field → the counter its delta folds into (None: ledger only).
+_SEARCHES_HELP = "Pool search rounds, by worker warmth"
+_MAPS_HELP = "Pool mapping rounds, by worker warmth"
+_POOL_COUNTERS = {
+    "search_cold": ("pool_searches_total", _SEARCHES_HELP, {"mode": "cold"}),
+    "search_warm": ("pool_searches_total", _SEARCHES_HELP, {"mode": "warm"}),
+    "map_cold": ("pool_maps_total", _MAPS_HELP, {"mode": "cold"}),
+    "map_warm": ("pool_maps_total", _MAPS_HELP, {"mode": "warm"}),
+    "spawns": None,
+    "respawns": ("pool_respawns_total", "Workers respawned by all-or-nothing healing", {}),
+    "swaps": ("pool_swaps_total", "Online reference swaps committed", {}),
+    "pings": None,
+}
 
 #: Per-shard row key → the ``PipelineStats`` attribute it reads.
 _ROW_FIELDS = {
@@ -60,7 +73,10 @@ class PoolStats:
     """
 
     num_shards: int
-    rounds: Counter = field(default_factory=Counter)  # command rounds by mode
+    search_cold: int = 0  # search_topk rounds that paid the spawn
+    search_warm: int = 0  # search_topk rounds served by resident workers
+    map_cold: int = 0
+    map_warm: int = 0
     spawns: int = 0  # worker processes ever started
     respawns: int = 0  # restarts after a worker death or failed run
     swaps: int = 0  # SWAP_REFERENCE cycles completed
@@ -73,21 +89,23 @@ class PoolStats:
     @property
     def searches(self) -> int:
         """Command rounds served (search_topk and map_topk)."""
-        return self.rounds.total()
+        return self.warm_searches + self.cold_searches
 
     @property
     def warm_searches(self) -> int:
         """Rounds served by resident workers."""
-        return self.rounds["warm"]
+        return self.search_warm + self.map_warm
 
     @property
     def cold_searches(self) -> int:
         """Rounds that paid the spawn (the first after start or a respawn)."""
-        return self.rounds["cold"]
+        return self.search_cold + self.map_cold
 
-    def record_round(self, mode: str, ledgers: list) -> None:
-        """One ``"warm"``/``"cold"`` round's ``(ledger, hits)`` per shard."""
-        self.rounds[mode] += 1
+    def record_round(self, op: str, mode: str, ledgers: list) -> None:
+        """One ``op`` round's warmth (``"warm"``/``"cold"``) and its
+        ``(ledger, hits)`` per shard."""
+        key = f"{op}_{mode}"
+        setattr(self, key, getattr(self, key) + 1)
         self.last_round = (mode == "warm", ledgers)
 
     def snapshot(self) -> dict:

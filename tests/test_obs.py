@@ -413,15 +413,29 @@ class TestInstrumentation:
         st.note_submit(depth=3)
         st.note_batch(2, cause="full")
         st.note_complete(0.01)
-        st.note_reject("deadline")
+        st.note_deadline("dispatch")
+        st.note_deadline("execute")
+        st.note_admission_reject("queue_full", "BULK")
+        st.note_admission_reject("queue_full", "INTERACTIVE")
+        st.note_admission_reject("shed", "BULK")
         assert st.submitted == 1
         assert st.completed == 1
-        assert st.rejected == {"deadline": 1}
+        # Derived from the two dedicated series, summed over stage and
+        # over priority.
+        assert st.rejected == {"deadline": 2, "queue_full": 2, "shed": 1}
         assert st.occupancy == {2: 1}
-        # The same numbers are visible through the registry export.
+        # The same numbers are visible through the registry export, each
+        # kept once.
         prom = st.registry.to_prometheus()
         assert "serve_submitted_total 1" in prom
-        assert 'serve_rejected_total{cause="deadline"} 1' in prom
+        assert 'serve_deadline_exceeded_total{stage="dispatch"} 1' in prom
+        assert 'serve_deadline_exceeded_total{stage="execute"} 1' in prom
+        assert (
+            'serve_admission_rejected_total{cause="queue_full",priority="BULK"} 1'
+            in prom
+        )
+        assert 'serve_admission_rejected_total{cause="shed",priority="BULK"} 1' in prom
+        assert "serve_rejected_total" not in prom
 
 
 # -- perf.report aggregation -------------------------------------------------
@@ -445,7 +459,7 @@ class TestSnapshotAggregation:
 
         ledger = PipelineStats(pairs=4)
         ps = PoolStats(num_shards=1)
-        ps.record_round("cold", [(ledger, 2)])
+        ps.record_round("search", "cold", [(ledger, 2)])
         for obj in (ledger, ps, ServiceStats()):
             json.dumps(obj.as_dict())
         assert ps.as_dict()["last_run"]["workers"][0]["pairs"] == 4
@@ -614,6 +628,62 @@ class TestOneLedger:
             delta = MetricsRegistry.diff(before, reg.snapshot())
             totals = self._assert_parity(pool, delta)
         assert totals["hits"] == _counted(delta, "mapping_extend_total")
+
+    def test_map_reads_ledgers_match_counters(self):
+        from repro.mapping import map_reads
+
+        rs = read_pairs(6, read_length=60, reference_length=6000, seed=84)
+        reg = get_registry()
+        before = reg.snapshot()
+        res = map_reads(rs, rs.reference, min_score=90)
+        delta = MetricsRegistry.diff(before, reg.snapshot())
+        ext, dd = res.extend, res.dedup
+        assert ext.banded > 0 and dd.offered > 0
+        assert ext.banded == _counted(delta, "mapping_extend_total", path="banded")
+        assert ext.full == _counted(delta, "mapping_extend_total", path="full")
+        assert dd.kept == res.total_placements
+        assert dd.kept == _counted(delta, "mapping_placements_total")
+        assert dd.offered == _counted(delta, "mapping_dedup_total", outcome="offered")
+        assert dd.duplicates == _counted(
+            delta, "mapping_dedup_total", outcome="duplicate"
+        )
+        assert dd.reads == len(rs) == _counted(delta, "mapping_reads_total")
+
+    def test_pool_map_counts_reads_and_placements(self):
+        # A pool-served map ends in the same merge as map_reads, so the
+        # reads it sends and the placements it returns are counted too.
+        rs = read_pairs(5, read_length=60, reference_length=6000, seed=85)
+        reads = [rs.reads[i] for i in range(len(rs))]
+        reg = get_registry()
+        with ShardWorkerPool(rs.reference, plan=_plan(), timeout=120) as pool:
+            pool.start()
+            before = reg.snapshot()
+            placements = pool.map_topk(reads, min_score=90)
+            delta = MetricsRegistry.diff(before, reg.snapshot())
+        returned = sum(len(p) for p in placements)
+        assert returned > 0
+        assert _counted(delta, "mapping_reads_total") == len(reads)
+        assert _counted(delta, "mapping_placements_total") == returned
+        assert _counted(delta, "pool_maps_total", mode="cold") == 1
+
+    def test_pool_respawns_and_swaps_match_counters(self):
+        ref, queries, _ = planted_instance(8000, 3, 80, seed=86)
+        ref2, _, _ = planted_instance(8000, 3, 80, seed=87)
+        reg = get_registry()
+        with ShardWorkerPool(ref, plan=_plan(k=3), timeout=120) as pool:
+            before = reg.snapshot()
+            pool.search_topk(queries)
+            pool._procs[1].terminate()
+            pool._procs[1].join()
+            pool.search_topk(queries)  # heals: every worker respawns
+            pool.swap_reference(ref2)
+            delta = MetricsRegistry.diff(before, reg.snapshot())
+            st = pool.stats
+            assert st.respawns == pool.num_shards and st.swaps == 1
+            assert st.respawns == _counted(delta, "pool_respawns_total")
+            assert st.swaps == _counted(delta, "pool_swaps_total")
+            assert st.cold_searches == 2
+            assert st.cold_searches == _counted(delta, "pool_searches_total", mode="cold")
 
     def test_pipeline_stats_pickle_round_trip(self):
         import pickle
