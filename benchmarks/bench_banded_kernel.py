@@ -5,20 +5,25 @@ seed prefilter has done its job.  This bench isolates that stage and
 compares the two verify configurations on the same workload:
 
 * **A — legacy**: ``anchor=False, lane_verify=False`` — every admitted
-  (query, window) pair runs the scalar banded sweep with the
-  window-extent band ``|m - n| + band_pad``.
+  (query, window) pair runs on its own, as a one-lane call of the
+  compiled banded kernel on 1-D rows, with the window-extent band
+  ``|m - n| + band_pad``.
 * **B — lane kernel**: the default — bands are centred on the seed
   diagonals reported by the prefilter, pairs are bucketed by
-  (shape, band), and each full bucket executes as one vectorized sweep
-  through the compiled ``stage/`` kernel; stragglers keep the scalar
-  sweep.
+  (shape, band), and each full bucket executes as one lane stack of the
+  same compiled ``stage/`` kernel; stragglers run one lane each.
+
+Both modes run the one banded kernel, so the speedup is what lane
+batching and seed-anchored bands buy over per-pair calls.  The JSON keeps
+its ``window_extent_scalar`` key for mode A so results stay comparable
+across runs.
 
 Queries are substitution-only so lengths stay uniform: indel-varied
 lengths fragment the (shape, band) buckets into the straggler path,
 which is exactly what the per-path accounting below makes visible.
 
 The acceptance bar is a ≥3× speedup on the verify stage's execute time
-with the top-K bit-identical to both the scalar banded path (A) and the
+with the top-K bit-identical to both the per-pair path (A) and the
 full-DP ``exhaustive_topk`` oracle.  ``band_pad=32`` keeps every
 above-threshold shoulder placement inside the extent band so banded and
 full DP agree on everything the reducer retains.
@@ -62,9 +67,10 @@ def _run_comparison(report, name, ref_len, count, qlen, min_speedup):
     ref, queries, positions = _workload(ref_len, count, qlen)
     window, min_score = 2 * qlen, int(2 * qlen * 0.8)
 
-    # One throwaway pass compiles and caches the per-(scheme, band) lane
-    # kernels, so both timed runs measure steady-state execution.
+    # One throwaway pass per mode compiles and caches its per-(scheme,
+    # band) kernels, so both timed runs measure steady-state execution.
     _run(queries, ref, window, min_score)
+    _run(queries, ref, window, min_score, anchor=False, lane_verify=False)
     run_b, topk_b, wall_b = _run(queries, ref, window, min_score)
     run_a, topk_a, wall_a = _run(
         queries, ref, window, min_score, anchor=False, lane_verify=False
@@ -77,7 +83,7 @@ def _run_comparison(report, name, ref_len, count, qlen, min_speedup):
             queries, ref, k=3, window=window, band_pad=BAND_PAD, min_score=min_score
         )
     )
-    assert topk_b == topk_a, "lane/anchored top-K diverged from the scalar banded path"
+    assert topk_b == topk_a, "lane/anchored top-K diverged from the per-pair banded path"
     assert topk_b == oracle, "banded top-K diverged from the full-DP oracle"
     for qid, p in enumerate(positions):
         assert topk_b[qid], f"query {qid} lost its planted hit"
@@ -96,7 +102,7 @@ def _run_comparison(report, name, ref_len, count, qlen, min_speedup):
         ("verify path", "exec s", "pairs", "cells computed", "speedup"),
         [
             (
-                "A: per-pair window-extent sweep",
+                "A: per-pair one-lane calls, window-extent bands",
                 f"{exec_a:7.3f}",
                 paths_a["fallback"]["pairs"],
                 cells_a,
@@ -137,7 +143,7 @@ def _run_comparison(report, name, ref_len, count, qlen, min_speedup):
     )
     if min_speedup:
         assert speedup >= min_speedup, (
-            f"lane kernel only {speedup:.1f}x over the per-pair sweep "
+            f"lane kernel only {speedup:.1f}x over per-pair one-lane calls "
             f"(need {min_speedup}x)"
         )
 

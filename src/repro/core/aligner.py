@@ -157,7 +157,7 @@ class Aligner:
 
         Routes through :func:`repro.core.banded.banded_score`; the resolved
         backend must declare the ``banded`` capability (the staged inline
-        strategies do — all of them share the one banded row sweep).
+        strategies do — all of them share the one generated banded kernel).
         """
         from repro.core.backend import capability_matrix
         from repro.core.banded import banded_score as _banded_score

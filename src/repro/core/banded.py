@@ -20,17 +20,25 @@ Two alignment types are supported:
   reference window and the band bounds the placement offset plus indel
   drift.
 
-Row sweep with the same prefix-scan closure as the unbanded kernels, but
-each row only touches its ``[max(1, i−band), min(m, i+band)]`` window, so
-work is O((n+m)·band) instead of O(n·m); :func:`band_cells` reports the
-exact relaxed-cell count so callers can account computed vs. skipped work.
+Every banded score comes from one generated kernel,
+:func:`repro.core.kernels.build_banded_kernel`, specialized on (scheme,
+band): :func:`banded_score` runs it on one pair's 1-D rows and
+:func:`banded_score_lanes` on a (lanes, m+1) row stack, through the same
+driver.  Each row only touches its ``[max(1, i−band), min(m, i+band)]``
+window with the prefix-scan gap closure, so work is O((n+m)·band) instead
+of O(n·m); :func:`band_cells` reports the exact relaxed-cell count so
+callers can account computed vs. skipped work.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from repro.core.types import NEG_INF, AlignmentScheme, AlignmentType
+from repro.core.kernels import _check_headroom, build_banded_kernel, pick_neg_inf
+from repro.core.types import AlignmentScheme, AlignmentType
+from repro.stage import global_kernel_cache
 from repro.util.checks import ValidationError, check_sequence
 
 __all__ = ["banded_score", "banded_score_lanes", "band_cells", "effective_band"]
@@ -41,13 +49,14 @@ def effective_band(n: int, m: int, band: int, scheme: AlignmentScheme, widen: bo
 
     Global schemes need ``band ≥ |n − m|`` to reach the corner; with
     ``widen=True`` an infeasible band is widened to that minimum instead of
-    raising.  Semiglobal schemes accept any ``band ≥ 0``.  Both the scalar
-    sweep and the lane-stack driver resolve their band through here, so the
-    two paths always agree on the relaxed region.
+    raising.  Semiglobal schemes accept any ``band ≥ 0``.  Both the
+    one-pair and the lane-stack entry resolve their band through here, so
+    they always agree on the relaxed region.
     """
     at = scheme.alignment_type
     if at is AlignmentType.LOCAL:
         raise ValidationError("banded alignment supports global and semiglobal schemes only")
+    band = operator.index(band)  # NumPy ints too: the kernel is keyed on a Python int
     if band < 0:
         raise ValidationError(f"band must be >= 0, got {band}")
     if at is AlignmentType.GLOBAL and band < abs(n - m):
@@ -83,96 +92,13 @@ def banded_score(
     narrower than ``|n − m|`` raises :class:`ValidationError` unless
     ``widen=True``, which widens it to that minimum instead.  Semiglobal
     schemes accept any ``band ≥ 0`` (the free end gaps make every band
-    feasible).  Local schemes are rejected.
+    feasible).  Local schemes are rejected.  Scores are int64; the pair
+    runs as a one-lane call of the banded kernel on 1-D rows.
     """
-    at = scheme.alignment_type
-    semiglobal = at is AlignmentType.SEMIGLOBAL
     q = check_sequence(np.asarray(query, dtype=np.uint8), "query")
     s = check_sequence(np.asarray(subject, dtype=np.uint8), "subject")
-    n, m = q.size, s.size
-    band = effective_band(n, m, band, scheme, widen)
-    gaps = scheme.scoring.gaps
-    table = scheme.scoring.subst.table.astype(np.int64)
-    affine = gaps.is_affine
-    if affine:
-        go, ge = gaps.open, gaps.extend
-        p = -ge
-    else:
-        g = gaps.gap
-        p = -g
-    NI = NEG_INF // 2
-    idx = np.arange(m + 1, dtype=np.int64)
-    ramp = idx * p
-
-    # Full-width rows with −∞ outside the band keep the code identical to
-    # the unbanded sweep; only the touched slice does real work.
-    H = np.full(m + 1, NI, dtype=np.int64)
-    hi0 = min(m, band)
-    if semiglobal:
-        H[: hi0 + 1] = 0
-        if affine:
-            E = np.full(m + 1, NI, dtype=np.int64)
-    elif affine:
-        H[: hi0 + 1] = go + ge * idx[: hi0 + 1]
-        E = np.full(m + 1, NI, dtype=np.int64)
-    else:
-        H[: hi0 + 1] = g * idx[: hi0 + 1]
-    H[0] = 0
-
-    # Semiglobal: best over in-band cells of the last column, tracked as
-    # the sweep passes them (the last row is read off H after the loop).
-    best_tail = 0 if semiglobal and hi0 == m else NI
-
-    cand = np.empty(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        lo = max(1, i - band)
-        hi = min(m, i + band)
-        if lo > m:
-            # The band has left the matrix (semiglobal with n ≫ m): no
-            # in-band cell exists in this or any later row.
-            break
-        w = slice(lo, hi + 1)
-        wd = slice(lo - 1, hi)  # diagonal sources
-        sub = table[q[i - 1], s[lo - 1 : hi]]
-        cand[:] = NI
-        if affine:
-            Ew = np.maximum(E[w] + ge, H[w] + go + ge)
-            np.maximum(H[wd] + sub, Ew, out=cand[w])
-            E[w] = Ew
-            E[lo - 1 : lo] = NI  # cell left of the band is dead
-        else:
-            np.maximum(H[wd] + sub, H[w] + g, out=cand[w])
-        if lo == 1 and i <= band:
-            # Border column cell (i, 0) — only while it lies inside the
-            # band; writing it for i ≤ band+1 (as `lo == 1` alone would)
-            # leaks out-of-band border paths into the scan.
-            if semiglobal:
-                cand[0] = 0
-            else:
-                cand[0] = (go + ge * i) if affine else (g * i)
-        scan = np.maximum.accumulate(cand[lo - 1 : hi + 1] + ramp[lo - 1 : hi + 1])
-        if affine:
-            F = np.empty(hi - lo + 2, dtype=np.int64)
-            F[0] = NI
-            F[1:] = scan[:-1] + go - ramp[w]
-            H[lo - 1 : hi + 1] = np.maximum(cand[lo - 1 : hi + 1], np.maximum(F, NI))
-        else:
-            H[lo - 1 : hi + 1] = scan - ramp[lo - 1 : hi + 1]
-        if lo > 1:
-            H[lo - 1] = NI  # outside the band
-        if semiglobal and hi == m:
-            best_tail = max(best_tail, int(H[m]))
-    if not semiglobal:
-        return int(H[m])
-    # Free tails: the optimum may end anywhere in the last row (trailing
-    # subject unaligned) or the last column (trailing query unaligned).
-    lo = max(1, n - band)
-    if lo <= m:
-        hi = min(m, n + band)
-        # H[lo-1] is the (possibly bordered) leftmost in-band cell: 0 when
-        # column 0 is in band at row n, −∞ otherwise — safe to include.
-        best_tail = max(best_tail, int(H[lo - 1 : hi + 1].max()))
-    return best_tail
+    band = effective_band(q.size, s.size, band, scheme, widen)
+    return int(_banded_sweep(q, s, scheme, band, np.int64))
 
 
 def banded_score_lanes(
@@ -192,11 +118,6 @@ def banded_score_lanes(
     :func:`repro.core.kernels.score_lanes`.  Returns a (lanes,) int64 score
     vector bit-identical to calling :func:`banded_score` per pair.
     """
-    from repro.core.kernels import _check_headroom, build_banded_kernel, pick_neg_inf
-    from repro.stage import global_kernel_cache
-
-    at = scheme.alignment_type
-    semiglobal = at is AlignmentType.SEMIGLOBAL
     q = np.ascontiguousarray(queries, dtype=np.uint8)
     s = np.ascontiguousarray(subjects, dtype=np.uint8)
     if q.ndim != 2 or s.ndim != 2 or q.shape[0] != s.shape[0]:
@@ -209,36 +130,42 @@ def banded_score_lanes(
         raise ValidationError("sequence codes outside 0..3")
     band = effective_band(n, m, band, scheme, widen)
     _check_headroom(scheme, n, m, dtype)
+    return _banded_sweep(q, s, scheme, band, dtype)
 
+
+def _banded_sweep(q, s, scheme: AlignmentScheme, band: int, dtype) -> np.ndarray:
+    """One banded kernel call over one pair (1-D rows) or a lane stack (2-D).
+
+    ``band`` is already resolved by :func:`effective_band`.  Sets up the
+    in-band row-0 border (−∞ outside the band) and the optimum seed, and
+    returns the int64 score(s): a 0-d array for 1-D rows.
+    """
     gaps = scheme.scoring.gaps
     affine = gaps.is_affine
+    n, m = q.shape[-1], s.shape[-1]
     ninf = pick_neg_inf(dtype)
     idx = np.arange(m + 1, dtype=dtype)
     hi0 = min(m, band)
 
-    H = np.full((lanes, m + 1), ninf, dtype=dtype)
-    if semiglobal:
-        H[:, : hi0 + 1] = 0
+    H = np.full(q.shape[:-1] + (m + 1,), ninf, dtype=dtype)
+    if scheme.alignment_type is AlignmentType.SEMIGLOBAL:
+        H[..., : hi0 + 1] = 0
     elif affine:
-        H[:, : hi0 + 1] = gaps.open + gaps.extend * idx[: hi0 + 1]
+        H[..., : hi0 + 1] = gaps.open + gaps.extend * idx[: hi0 + 1]
     else:
-        H[:, : hi0 + 1] = gaps.gap * idx[: hi0 + 1]
-    H[:, 0] = 0
-    C = np.empty_like(H)
-    E = np.full_like(H, ninf) if affine else None
-    ramp = (idx * (-gaps.extend if affine else -gaps.gap)).astype(dtype)
-    out = np.empty((lanes,), dtype=dtype)
-    # Semiglobal: seed with the H(0, m) border cell (0 iff band reaches m),
-    # exactly the scalar sweep's best_tail initialisation.
-    out[:] = H[:, m]
+        H[..., : hi0 + 1] = gaps.gap * idx[: hi0 + 1]
+    H[..., 0] = 0
+    ramp = idx * (-gaps.extend if affine else -gaps.gap)
+    # Semiglobal: seed with the H(0, m) border cell (0 iff band reaches m).
+    out = H[..., m].copy()
 
     kern = global_kernel_cache.get_or_build(
         ("banded", band) + scheme.cache_key(),
         lambda: build_banded_kernel(scheme, band),
     )
-    args = [q, s, n, m, H, C, ramp, out, ninf]
-    if E is not None:
-        args.append(E)
+    args = [q, s, n, m, H, np.empty_like(H), ramp, out, ninf]
+    if affine:
+        args.append(np.full_like(H, ninf))
     if not scheme.scoring.subst.is_simple:
         args.append(scheme.scoring.subst.table.astype(dtype))
     kern(*args)

@@ -191,13 +191,14 @@ def build_banded_kernel(scheme: AlignmentScheme, band: int):
         kernel(q, s, n, m, H, C, ramp, out, ninf [, E] [, table])
 
     All reads keep a leading ellipsis, so the one kernel serves a single
-    pair and a (lanes, m+1) row stack alike — this is the lane-batched
-    verify path.  The statement sequence mirrors the scalar sweep in
-    :func:`repro.core.banded.banded_score` row for row (same windows, same
-    border/dead-cell writes), so scores are bit-identical to it: sentinel
-    cells never dominate an in-band cell (every in-band cell carries a
-    real diagonal-entry path value, and sentinel arithmetic only drives
-    values further down), hence only band geometry decides the result.
+    pair's 1-D rows (:func:`repro.core.banded.banded_score`) and a
+    (lanes, m+1) row stack (:func:`repro.core.banded.banded_score_lanes`)
+    alike: it is the only banded recurrence in the library.  Scores equal
+    the masked full-DP oracle at every band: sentinel cells never dominate
+    an in-band cell (every in-band cell carries a real diagonal-entry path
+    value, and sentinel arithmetic only drives values further down), hence
+    only band geometry decides the result.  ``n``/``m`` are declared Python
+    ints, so the per-row window bounds compile to builtin ``max``/``min``.
     """
     at = scheme.alignment_type
     if at is AlignmentType.LOCAL:
@@ -219,6 +220,7 @@ def build_banded_kernel(scheme: AlignmentScheme, band: int):
         f"banded{band}_{at.value}_{'affine' if affine else 'linear'}",
         params,
         docstring=f"specialized banded row-sweep kernel: band={band} {scheme.cache_key()}",
+        ints=("n", "m"),
     )
     n, m = b.var("n"), b.var("m")
     qv = SequenceView("q", n, lanes=True)

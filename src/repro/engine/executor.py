@@ -12,7 +12,7 @@ interpreter exit.
 :class:`~repro.engine.plans.ExecutionPlan` to the pipeline's
 :class:`~repro.engine.stages.ExecutorStage` protocol (full-DP lane blocks);
 the banded verification stage of :mod:`repro.search` implements the same
-protocol over :func:`repro.core.banded.banded_score`.  Scoring always runs
+protocol over the banded kernel of :mod:`repro.core.banded`.  Scoring always runs
 through that pipeline (or, for pre-bucketed serving batches, straight
 through the stage); :meth:`BatchExecutor.run_aligns` is the one
 non-pipeline entry point — alignments run as lane-stack tracebacks

@@ -100,9 +100,9 @@ class ExecutionPlan:
         """Band-constrained scores of a stacked same-shape, same-band block.
 
         Lane-capable backends sweep the whole stack with the compiled
-        (scheme, band)-specialized kernel; others fall back to the shared
-        scalar sweep per pair.  Bit-identical to :meth:`score_banded` on
-        each lane either way.
+        (scheme, band)-specialized kernel; others make one one-lane call
+        of the same kernel per pair.  Bit-identical to
+        :meth:`score_banded` on each lane either way.
         """
         if not self.caps.banded:
             from repro.util.checks import ValidationError

@@ -79,7 +79,7 @@ class SystolicAligner:
             name="fpga",
             kind="fpga",
             simulated=True,  # exact scores, cycle-accurate PE-array model
-            banded=True,  # served by the shared scalar banded sweep
+            banded=True,  # served by the shared banded kernel, one lane per pair
         )
 
     def score(self, query, subject) -> int:

@@ -244,7 +244,7 @@ class GpuAligner(WavefrontAligner):
             name="gpu",
             kind="gpu",
             simulated=True,  # exact scores, modelled device time
-            banded=True,  # served by the shared scalar banded sweep
+            banded=True,  # served by the shared banded kernel, one lane per pair
         )
 
     def score(self, query, subject) -> int:

@@ -111,7 +111,7 @@ class PlacementDedup:
             ranked = sorted(seen.values(), key=placement_rank, reverse=True)[: self.k]
             kept += len(ranked)
             out.append(ranked)
-        self.stats.kept = kept
+        self.stats.kept += kept
         return out
 
 
@@ -134,7 +134,8 @@ def merge_mapped(
     ``num_oriented``, and the search's ``hit_k``/``min_score``), and only
     placements whose hit survives that global merge reach the dedup —
     exactly the hit set a single-process run would have extended.
-    ``stats``, if given, is a fresh :class:`DedupStats` for the merge.
+    ``stats``, if given, is a :class:`DedupStats` ledger the merge adds
+    its counts to; only this call's delta reaches the registry.
     """
     reducer = TopKReducer(num_oriented, k=hit_k, min_score=min_score)
     for per_read in shard_lists:
@@ -149,12 +150,13 @@ def merge_mapped(
     dedup = PlacementDedup(num_reads, k=k)
     if stats is not None:
         dedup.stats = stats
+    base = vars(dedup.stats).copy()
     for per_read in shard_lists:
         for placements in per_read:
             for p in placements:
                 if (p.hit.query_id, p.hit.chunk_id) in surviving:
                     dedup.offer(p)
     final = dedup.results()
-    dedup.stats.reads = num_reads
-    fold_ledger(_DEDUP_COUNTERS, dedup.stats)
+    dedup.stats.reads += num_reads
+    fold_ledger(_DEDUP_COUNTERS, dedup.stats, base)
     return final

@@ -146,9 +146,11 @@ def pipeline_stats_table(stats, title: str = "Streaming pipeline", verify=None) 
         paths = path_stats()
         total_pairs = sum(p["pairs"] for p in paths.values())
         if total_pairs:
+            # Both paths run the one banded kernel: a lane stack per
+            # bucket, or one-lane calls for stragglers and lane-less plans.
             path_rows = [
                 (
-                    name,
+                    {"lanes": "lane stack", "fallback": "one lane"}.get(name, name),
                     p["pairs"],
                     p["cells"],
                     f"{100 * p['pairs'] / total_pairs:.1f}%",

@@ -11,7 +11,7 @@ from the engine's stage pipeline (:mod:`repro.engine.stages`):
     ReferenceIndex lookup / Chunk stream    (Source: candidate windows)
         → SeedPrefilter(QueryIndex)         (Prefilter: shared k-mers)
         → ShapeBatcher                      (Batcher: same-shape lanes)
-        → BandedVerifyStage                 (Executor: core.banded sweep)
+        → BandedVerifyStage                 (Executor: core.banded kernel)
         → TopKReducer                       (Reducer: bounded per-query heaps)
 
 :func:`search` returns a :class:`SearchRun` — iterating it drives the
@@ -185,10 +185,10 @@ class BandedVerifyStage:
       only shrinks provably-dead region.
 
     An explicit ``band`` is used as-is (auto-widened to feasibility for
-    global schemes).  Whole batches are swept by the lane-batched
-    (scheme, band)-specialized kernel when the plan supports lane
-    batching; stragglers and lane-less plans take the per-pair scalar
-    sweep — :meth:`path_stats` accounts pairs/cells per path.  Batches
+    global schemes).  Every pair runs the one (scheme, band)-specialized
+    banded kernel: whole batches as a lane stack when the plan supports
+    lane batching, stragglers and lane-less plans as one-lane calls on
+    1-D rows — :meth:`path_stats` accounts pairs/cells per path.  Batches
     must be band-uniform for the lane path to be exact, which the search
     pipeline guarantees by keying its batcher on :meth:`band_of`; as a
     safety net the batch band is the per-request maximum (widening only).
@@ -279,7 +279,8 @@ class BandedVerifyStage:
         return scores, {"cells_computed": cells, "cells_skipped_band": batch.cells - cells}
 
     def path_stats(self) -> dict:
-        """Pairs/cells verified per execution path (lane kernel vs scalar)."""
+        """Pairs/cells verified per path: ``lanes`` (a lane stack) vs
+        ``fallback`` (one-lane calls), both the same banded kernel."""
         with self._lock:
             return {
                 path: {"pairs": self._path_pairs[path], "cells": self._path_cells[path]}
@@ -463,9 +464,9 @@ def search(
     max_in_flight:
         Backpressure budget: admitted-but-unverified candidates.
     lane_verify:
-        Sweep whole same-(shape, band) buckets with the lane-batched
-        banded kernel (default); ``False`` forces the per-pair scalar
-        sweep everywhere (the benchmark baseline).
+        Sweep whole same-(shape, band) buckets as one lane stack of the
+        banded kernel (default); ``False`` verifies each pair on its own,
+        as a one-lane call of the same kernel (the benchmark baseline).
     hit_window:
         Keep each retained hit's window bases in ``Hit.meta["window"]``
         (see :class:`~repro.search.topk.TopKReducer`); the read-mapping

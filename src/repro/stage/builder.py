@@ -62,10 +62,13 @@ class MutableCell:
 class KernelBuilder:
     """Collects statements for one staged function."""
 
-    def __init__(self, name: str, params: list[str], docstring: str = ""):
+    def __init__(self, name: str, params: list[str], docstring: str = "", ints=()):
         self.name = name
         self.params = list(params)
         self.docstring = docstring
+        self.ints = tuple(ints)
+        if not set(self.ints) <= set(self.params):
+            raise StagingError(f"ints {self.ints} must name parameters of {name}")
         self._body: list[Stmt] = []
         self._stack: list[list[Stmt]] = [self._body]
         self._counter = itertools.count()
@@ -186,4 +189,5 @@ class KernelBuilder:
             params=self.params,
             body=self._body,
             docstring=self.docstring,
+            ints=self.ints,
         )

@@ -7,7 +7,11 @@ code paths:
   for per-cell scalar kernels because it avoids NumPy's per-call overhead.
 * ``"vector"`` — NumPy ufuncs (``np.maximum``, ``np.where``) so the same IR
   executes element-wise over whole lanes/rows; ``ScanMax``/``Shift`` map to
-  ``np.maximum.accumulate`` and slice moves.
+  ``np.maximum.accumulate`` and slice moves.  ``Max``/``Min`` whose
+  operands are known Python ints (int constants, loop indices, the
+  function's declared ``ints`` and lets built from them) stay builtin
+  ``max``/``min``: a row window's bounds are computed once per row, where a
+  ufunc call costs more than the work.
 
 Generated sources are registered with :mod:`linecache` so tracebacks from
 inside a specialized kernel show real code.
@@ -45,6 +49,7 @@ from repro.stage.ir import (
     Store,
     Var,
 )
+from repro.stage.peval import _collect_reads
 from repro.util.checks import StagingError
 
 __all__ = ["emit_function", "emit_module", "register_source", "RUNTIME_HELPERS"]
@@ -74,12 +79,24 @@ RUNTIME_HELPERS = {
 
 
 class _Emitter:
-    def __init__(self, dialect: str):
+    def __init__(self, dialect: str, ints=()):
         if dialect not in ("scalar", "vector"):
             raise StagingError(f"unknown dialect {dialect!r}")
         self.dialect = dialect
         self.lines: list[str] = []
         self.depth = 0
+        self.ints = set(ints)  # names bound to Python ints
+        self.mutated: set = set()  # re-assigned names are never int-typed
+
+    def is_int(self, e: Expr) -> bool:
+        """Whether ``e`` evaluates to a Python int at run time."""
+        if isinstance(e, (Const, DynConst)):
+            return isinstance(e.value, int)
+        if isinstance(e, Var):
+            return e.name in self.ints
+        if isinstance(e, (BinOp, Max, Min)):  # every IR BinOp keeps ints ints
+            return self.is_int(e.a) and self.is_int(e.b)
+        return False
 
     def w(self, line: str = ""):
         self.lines.append("    " * self.depth + line if line else "")
@@ -104,11 +121,11 @@ class _Emitter:
         if isinstance(e, Max):
             a, b = self.expr(e.a), self.expr(e.b)
             if self.dialect == "vector":
-                return f"np.maximum({a}, {b})"
+                return f"max({a}, {b})" if self.is_int(e) else f"np.maximum({a}, {b})"
             return f"({a} if {a} >= {b} else {b})" if _cheap(e.a, e.b) else f"max({a}, {b})"
         if isinstance(e, Min):
             a, b = self.expr(e.a), self.expr(e.b)
-            if self.dialect == "vector":
+            if self.dialect == "vector" and not self.is_int(e):
                 return f"np.minimum({a}, {b})"
             return f"min({a}, {b})"
         if isinstance(e, Load):
@@ -158,6 +175,8 @@ class _Emitter:
             self.w(f"# {st.text}")
         elif isinstance(st, (Let, Mutate)):
             self.w(f"{st.name} = {self.expr(st.expr)}")
+            if isinstance(st, Let) and st.name not in self.mutated and self.is_int(st.expr):
+                self.ints.add(st.name)
         elif isinstance(st, Store):
             self.w(f"{st.array}[{self.index(st.index)}] = {self.expr(st.value)}")
         elif isinstance(st, For):
@@ -168,6 +187,7 @@ class _Emitter:
             self.w(
                 f"for {st.var} in range({self.expr(st.start)}, {self.expr(st.stop)}{step}):{hint}"
             )
+            self.ints.add(st.var)
             self.depth += 1
             self.stmts(st.body)
             self.depth -= 1
@@ -198,7 +218,8 @@ def _cheap(*exprs) -> bool:
 
 
 def emit_function(fn: Function, dialect: str = "vector") -> str:
-    em = _Emitter(dialect)
+    em = _Emitter(dialect, fn.ints)
+    _collect_reads(fn.body, set(), em.mutated)
     em.w(f"def {fn.name}({', '.join(fn.params)}):")
     em.depth += 1
     if fn.docstring:

@@ -362,12 +362,17 @@ class Comment(Stmt):
 
 @dataclass
 class Function:
-    """A staged function: name, parameter names, body statements."""
+    """A staged function: name, parameter names, body statements.
+
+    ``ints`` names the parameters that are plain Python ints at every call
+    site; the vector dialect keeps scalar arithmetic on them in builtins.
+    """
 
     name: str
     params: list
     body: list
     docstring: str = ""
+    ints: tuple = ()
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Tests for the lane-batched banded verify kernel and seed-anchored bands.
 
-Covers the compiled lane sweep (``banded_score_lanes`` through the
-``stage/`` codegen path) against the scalar sweep and the masked-DP
-oracle, the band/edge geometry, the seed-diagonal envelope from the
+Covers the compiled banded kernel (``banded_score_lanes`` through the
+``stage/`` codegen path, and ``banded_score`` as its one-lane call on 1-D
+rows) against the masked-DP oracle, the band/edge geometry, the seed-diagonal envelope from the
 prefilter, band-keyed bucketing, and the backend routing of verify
 buckets.
 """
@@ -19,6 +19,7 @@ from test_banded import (
 )
 
 from repro.core.banded import band_cells, banded_score, banded_score_lanes, effective_band
+from repro.core.recurrence import score_reference
 from repro.core.scoring import affine_gap_scoring, semiglobal_scheme, simple_subst_scoring
 from repro.engine import ExecutionEngine, PlanCache
 from repro.engine.batching import ShapeBatcher
@@ -57,7 +58,7 @@ class TestLaneKernelBitIdentity:
             lanes = int(rng.integers(1, 7))
             qs, ss, band = _random_stack(rng, scheme, lanes)
             got = banded_score_lanes(qs, ss, scheme, band)
-            want = [banded_score(q, s, scheme, band) for q, s in zip(qs, ss)]
+            want = [_masked_reference_banded(q, s, scheme, band) for q, s in zip(qs, ss)]
             assert got.tolist() == want
 
     @ALL_SCHEMES
@@ -77,7 +78,7 @@ class TestLaneKernelBitIdentity:
         qs = rng.integers(0, 4, (4, 24)).astype(np.uint8)
         ss = rng.integers(0, 4, (4, 30)).astype(np.uint8)
         got = banded_score_lanes(qs, ss, SEMI_AFF, 9, dtype=dtype)
-        want = [banded_score(q, s, SEMI_AFF, 9) for q, s in zip(qs, ss)]
+        want = [_masked_reference_banded(q, s, SEMI_AFF, 9) for q, s in zip(qs, ss)]
         assert got.dtype == np.int64 and got.tolist() == want
 
     def test_widen_matches_scalar(self):
@@ -85,10 +86,34 @@ class TestLaneKernelBitIdentity:
         qs = rng.integers(0, 4, (3, 20)).astype(np.uint8)
         ss = rng.integers(0, 4, (3, 8)).astype(np.uint8)
         got = banded_score_lanes(qs, ss, LIN, 2, widen=True)
-        want = [banded_score(q, s, LIN, 2, widen=True) for q, s in zip(qs, ss)]
+        # Widened to the corner: band |20 - 8| = 12.
+        want = [_masked_reference_banded(q, s, LIN, 12) for q, s in zip(qs, ss)]
         assert got.tolist() == want
         with pytest.raises(ValidationError, match="widen"):
             banded_score_lanes(qs, ss, LIN, 2)
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [LIN, AFF, SEMI_LIN, SEMI_AFF],
+        ids=["linear", "affine", "semi-linear", "semi-affine"],
+    )
+    @pytest.mark.parametrize(
+        "n, m, band",
+        [(16, 16, 0), (9, 23, 0), (14, 11, 40), (80, 6, 2)],
+        ids=["band-0", "band-0-unequal", "band-over-m", "n-over-m"],
+    )
+    def test_one_pair_is_its_lane(self, scheme, n, m, band):
+        # banded_score is the one-lane call of the same kernel on 1-D rows:
+        # each pair's score equals its lane in the stack, and the oracle.
+        rng = np.random.default_rng(n * 100 + m + band)
+        qs = rng.integers(0, 4, (3, n)).astype(np.uint8)
+        ss = rng.integers(0, 4, (3, m)).astype(np.uint8)
+        lanes = banded_score_lanes(qs, ss, scheme, band, widen=True, dtype=np.int64)
+        wide = effective_band(n, m, band, scheme, widen=True)
+        for q, s, lane in zip(qs, ss, lanes.tolist()):
+            one = banded_score(q, s, scheme, band, widen=True)
+            assert type(one) is int and one == lane
+            assert one == _masked_reference_banded(q, s, scheme, wide)
 
     def test_requires_uniform_stack(self):
         qs = np.zeros((2, 10), dtype=np.uint8)
@@ -101,9 +126,10 @@ class TestEdgeGeometry:
     def test_band_zero_after_widening(self):
         # Equal lengths: widen keeps band 0 — the pure diagonal.
         q, s = encode("ACGTACGT"), encode("ACCTACGT")
-        assert banded_score(q, s, LIN, 0, widen=True) == banded_score(q, s, LIN, 0)
+        want = _masked_reference_banded(q, s, LIN, 0)
+        assert banded_score(q, s, LIN, 0, widen=True) == want
         got = banded_score_lanes(q[None, :], s[None, :], LIN, 0, widen=True)
-        assert got[0] == banded_score(q, s, LIN, 0)
+        assert got[0] == want
         assert band_cells(8, 8, 0) == 8
 
     @ALL_SCHEMES
@@ -115,6 +141,7 @@ class TestEdgeGeometry:
         ss = rng.integers(0, 4, (2, m)).astype(np.uint8)
         wider = banded_score_lanes(qs, ss, scheme, band + 5)
         assert banded_score_lanes(qs, ss, scheme, band).tolist() == wider.tolist()
+        assert wider.tolist() == [score_reference(q, s, scheme) for q, s in zip(qs, ss)]
         assert band_cells(n, m, band) == n * m
 
     @pytest.mark.parametrize("scheme", [SEMI_LIN, SEMI_AFF], ids=["linear", "affine"])
@@ -211,7 +238,7 @@ class TestSimulatedBackendBanded:
         rng = np.random.default_rng(43)
         q = rng.integers(0, 4, 30).astype(np.uint8)
         s = rng.integers(0, 4, 50).astype(np.uint8)
-        assert a.banded_score(q, s, 12) == banded_score(q, s, SEMI_AFF, 12)
+        assert a.banded_score(q, s, 12) == _masked_reference_banded(q, s, SEMI_AFF, 12)
 
     @pytest.mark.parametrize("backend", ["gpu", "fpga", "simd"])
     def test_plan_score_banded_block(self, backend):
@@ -221,7 +248,7 @@ class TestSimulatedBackendBanded:
         qs = rng.integers(0, 4, (3, 20)).astype(np.uint8)
         ss = rng.integers(0, 4, (3, 35)).astype(np.uint8)
         got = plan.score_banded_block(qs, ss, 10)
-        want = [banded_score(q, s, SEMI_LIN, 10) for q, s in zip(qs, ss)]
+        want = [_masked_reference_banded(q, s, SEMI_LIN, 10) for q, s in zip(qs, ss)]
         assert got.tolist() == want
 
 

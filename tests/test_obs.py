@@ -649,6 +649,38 @@ class TestOneLedger:
         )
         assert dd.reads == len(rs) == _counted(delta, "mapping_reads_total")
 
+    def test_reused_dedup_ledger_matches_counters(self):
+        # Two merges into one ledger: the ledger accumulates, and each
+        # merge folds only its own delta into the registry.
+        from repro.mapping import DedupStats, merge_mapped, resolve_config
+        from repro.mapping.mapper import shard_map_placements
+
+        rs = read_pairs(6, read_length=60, reference_length=6000, seed=88)
+        cfg = resolve_config(None, min_score=90)
+        per_read, _stats, _ext = shard_map_placements(list(rs.reads), rs.reference, cfg)
+        n = len(rs)
+        dd = DedupStats()
+        reg = get_registry()
+        before = reg.snapshot()
+        for _ in range(2):
+            merge_mapped(
+                [per_read],
+                num_reads=n,
+                num_oriented=n * cfg.orientations(),
+                hit_k=cfg.search.k,
+                k=cfg.k,
+                min_score=cfg.search.min_score,
+                stats=dd,
+            )
+        delta = MetricsRegistry.diff(before, reg.snapshot())
+        assert dd.offered > 0 and dd.reads == 2 * n
+        assert dd.reads == _counted(delta, "mapping_reads_total")
+        assert dd.kept == _counted(delta, "mapping_placements_total")
+        assert dd.offered == _counted(delta, "mapping_dedup_total", outcome="offered")
+        assert dd.duplicates == _counted(
+            delta, "mapping_dedup_total", outcome="duplicate"
+        )
+
     def test_pool_map_counts_reads_and_placements(self):
         # A pool-served map ends in the same merge as map_reads, so the
         # reads it sends and the placements it returns are counted too.

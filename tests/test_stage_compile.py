@@ -10,6 +10,7 @@ from repro.stage import (
     Const,
     For,
     KernelBuilder,
+    ReduceMax,
     ScanMax,
     Shift,
     Var,
@@ -23,6 +24,7 @@ from repro.stage import (
     range_loop,
     select,
     smax,
+    smin,
     staged,
     static_value,
     tile,
@@ -350,3 +352,91 @@ class TestEmission:
         b.ret(b.var("x") + 1)
         src = emit_function(b.build(), dialect="scalar")
         assert '"""adds one"""' in src
+
+
+class TestIntBounds:
+    """The vector dialect keeps Max/Min over known Python ints builtin."""
+
+    def test_declared_ints_loop_indices_and_lets(self):
+        b = KernelBuilder("win", ["x", "out", "n"], ints=("n",))
+        acc = b.mutable(0, "acc")
+        with b.loop("i", 0, b.var("n")) as i:
+            lo = b.let(smax(0, i - 1), "lo")
+            hi = b.let(smin(b.var("n"), i + 2), "hi")
+            acc.set(smax(acc.value, ReduceMax(b.load("x", (b.slice(lo, hi),)))))
+            b.store("out", (i,), acc.value)
+        k = build_kernel(b, dialect="vector")
+        assert "max(0, (i - 1))" in k.source and "min(n, (i + 2))" in k.source
+        assert "np.minimum" not in k.source
+        # The accumulator is re-assigned, so its Max stays a ufunc.
+        assert "np.maximum(acc" in k.source
+        out = np.zeros(5, dtype=np.int64)
+        k(np.array([3, 1, 0, 1, 5]), out, 5)
+        np.testing.assert_array_equal(out, [3, 3, 3, 5, 5])
+
+    def test_undeclared_params_stay_ufuncs(self):
+        b = KernelBuilder("m3", ["a", "n"])
+        b.ret(smin(b.var("a"), b.var("n") + 1))
+        assert "np.minimum" in build_kernel(b, dialect="vector").source
+
+    def test_ints_must_be_params(self):
+        with pytest.raises(StagingError, match="parameters"):
+            KernelBuilder("bad", ["x"], ints=("n",))
+
+    def test_banded_bounds_are_builtin(self):
+        import re
+
+        from repro.core.kernels import build_banded_kernel
+        from repro.core.scoring import (
+            affine_gap_scoring,
+            global_scheme,
+            linear_gap_scoring,
+            semiglobal_scheme,
+            simple_subst_scoring,
+        )
+
+        sub = simple_subst_scoring(2, -1)
+        for scheme in (
+            global_scheme(linear_gap_scoring(sub, -1)),
+            semiglobal_scheme(affine_gap_scoring(sub, -2, -1)),
+        ):
+            for band in (0, 32):
+                src = build_banded_kernel(scheme, band).source
+                bounds = [
+                    line
+                    for line in src.splitlines()
+                    if re.match(r"\s*(lo|hi|lof|hif)\d+ = ", line) or "in range(" in line
+                ]
+                assert bounds and not any("np." in line for line in bounds)
+                assert "np.minimum" not in src
+
+    def test_rowscan_sources_unchanged(self):
+        # SHA-256 of the rowscan kernels' generated source, pinned from
+        # before int-typed Max/Min existed: the rowscan kernels declare
+        # no ints and must emit byte-identical code.
+        import hashlib
+
+        from repro.core.kernels import build_rowscan_kernel
+        from repro.core.scoring import (
+            affine_gap_scoring,
+            global_scheme,
+            linear_gap_scoring,
+            local_scheme,
+            semiglobal_scheme,
+            simple_subst_scoring,
+        )
+
+        sub = simple_subst_scoring(2, -1)
+        pinned = {
+            ("global", False): "518b020c89a634565667699ecbdccfd42dee83f82060ea337a9d5d8a444d6583",
+            ("global", True): "cabed01c930b7ec6f65a6cde57ec0eea07b7a907b0ed08cb8b0e9426b4a908d4",
+            ("semiglobal", False): "8d83de4f9346c73b4cf6c851b005692bf243c7f9186b2007dc89f1041174cbd5",
+            ("semiglobal", True): "03149d49798933dbc5cc5a276ade0192c3bc878b4adb5c578df9a98b5fa22dc5",
+            ("local", False): "1669fe921cf67f37b9b3f62824426405d9a37dacc51e1477d870c0072891bde8",
+            ("local", True): "d774f22f876368432cbaf95c8bf32f1c0f0c04e25ed2b020d1a3e638477c5528",
+        }
+        makers = {"global": global_scheme, "semiglobal": semiglobal_scheme, "local": local_scheme}
+        for (kind, affine), digest in pinned.items():
+            gaps = affine_gap_scoring(sub, -2, -1) if affine else linear_gap_scoring(sub, -1)
+            src = build_rowscan_kernel(makers[kind](gaps)).source
+            assert hashlib.sha256(src.encode()).hexdigest() == digest, (kind, affine)
