@@ -1,12 +1,13 @@
-"""Alignment reconstruction: block traceback, linear-space recursion, lanes.
+"""Alignment reconstruction: one-pass blocks, linear-space recursion, lanes.
 
 Score-only alignment runs in O(min(n,m)) space; reconstructing the actual
-alignment needs the moves of the whole DP matrix.  Segments of at most
-``cutoff`` DP cells (:data:`DEFAULT_BLOCK_CUTOFF`, enough for read-scale
-problems such as 150 × 300) are solved as one *block*: one fill storing a
-uint8 move flag per cell (:func:`repro.core.blockdp.fill_block`), then one
-walk from the end cell.  Larger segments — long genomes — use the
-divide-and-conquer traceback of the paper (§III-A, Hirschberg [24]):
+alignment needs the moves of the whole DP matrix.  A pair whose whole
+``(n+1)·(m+1)`` matrix fits ``cutoff`` cells (:data:`DEFAULT_BLOCK_CUTOFF`,
+enough for read-scale problems such as 150 × 300) is solved in *one pass*:
+one fill of its matrix under the scheme's own borders storing a uint8 move
+flag per cell (:func:`repro.core.blockdp.fill_best`), which also finds the
+end cell, then one walk back from it.  Larger pairs — long genomes — use
+the divide-and-conquer traceback of the paper (§III-A, Hirschberg [24]):
 recursively find optimal midpoints of the DP matrix (at the cost of at most
 doubling the number of relaxed cells) until the pieces fit the cutoff.
 
@@ -15,21 +16,41 @@ doubling the number of relaxed cells) until the pieces fit the cutoff.
   vertical gap *crossing* the split row, handled by recursing with
   ``top_open`` boundary flags and a start-in-E walker, so one gap-open is
   never charged twice;
-* local / semi-global: reduced to a global segment first — a forward sweep
-  finds the end cell, a backward (reversed) sweep finds the start cell, and
-  the segment in between is aligned globally.  End/start reduction is exact
-  because optimal local/semi-global alignments never begin or end inside a
-  gap (trimming a boundary gap never lowers the score).
+* local / semi-global above the cutoff: reduced to a global segment first
+  — a forward sweep finds the end cell, a backward (reversed) sweep finds
+  the start cell, and the segment in between is aligned globally.
+  End/start reduction is exact because optimal local/semi-global
+  alignments never begin or end inside a gap (trimming a boundary gap
+  never lowers the score).
+
+**Tie rule.**  Scores and end cells never depend on the path taken: the
+end cell is the first optimum in row-major order for local alignments,
+for semi-global ones the topmost optimum of the last column unless the
+last row holds a strictly better one (then its leftmost), and ``(n, m)``
+for global ones (:func:`repro.core.blockdp.sweep_best`).  From there the
+walk prefers the diagonal, then the vertical gap (E), then the horizontal
+gap (F); a gap state extends before it closes.  A one-pass walk stops on
+the first H-state cell that may start an alignment: the top or left
+border (semi-global), or a cell on the local ν = 0 floor or the border
+(local); a global walk goes on along the border to ``(0, 0)``.  So among
+co-optimal alignments ending at the end cell, a local one is the shortest
+the walk's move order reaches.  Lanes above the cutoff keep the segment
+rule: the start cell is the reversed-prefix sweep's first optimum, and
+the recursion's walks between.
 
 **Lanes.** :func:`align_lanes` aligns L pairs as one lane stack, the way
-the score kernels relax many pairs at once: the forward sweep, the
-reversed-prefix sweep and the block fill each relax every lane in one pass
-(lanes of different extents are padded at the end, which no cell inside a
-lane's extents can see); only the walk is per lane.  A single pair is the
-``L = 1`` case — :func:`align_linear_space` is exactly that call — so a
-lane's result equals the single-pair alignment with the same cutoff,
-co-optimal tie order included.  Segments above the cutoff leave the stack
-for the per-pair recursion.
+the score kernels relax many pairs at once: the one-pass fill relaxes
+every lane whose whole matrix fits the cutoff in one pass (lanes of
+different extents are padded at the end, which no cell inside a lane's
+extents can see), and only the walk is per lane.  Lanes above the cutoff
+run the forward and reversed-prefix sweeps as one stack too, then leave
+it for the per-pair recursion.  Which path a lane takes depends on its
+own extents only, and a single pair is the ``L = 1`` case —
+:func:`align_linear_space` is exactly that call — so a lane's result
+equals the single-pair alignment with the same cutoff, co-optimal tie
+order included.  The one-pass fill runs a stack in lane groups whose
+padded flags stay within :data:`FILL_FLAG_BYTES`, one group after another,
+so flag memory stays bounded without cutting the caller's stack.
 
 Walker note: the fill keeps F in scan form, F(i,j) = max over k<j of
 H′(i,k)+open+(j−k)·extend where H′ excludes F itself.  Whenever the textbook
@@ -51,7 +72,9 @@ from repro.core.blockdp import (
     H_E,
     H_F,
     LEFT,
+    START,
     UP,
+    fill_best,
     fill_block,
     sweep_best,
     sweep_last_rows,
@@ -69,14 +92,21 @@ __all__ = [
     "lane_parts",
     "DEFAULT_BLOCK_CUTOFF",
     "LANES",
+    "FILL_FLAG_BYTES",
 ]
 
-#: Up to this many DP cells a segment is solved by one block fill + walk;
-#: larger segments recurse (Hirschberg / Myers–Miller) down to it.
+#: Up to this many DP cells a pair is solved by one fill + walk of its
+#: whole matrix, and a segment by one block; larger ones recurse
+#: (Hirschberg / Myers–Miller) down to it.
 DEFAULT_BLOCK_CUTOFF = 1 << 16
 
 #: Lane-stack width of :func:`lane_parts` (the engine's default lanes).
 LANES = 64
+
+#: The one-pass fill of a stack runs in lane groups, one after another,
+#: whose padded flags stay within this (23 lanes of 150 × 300): flag memory
+#: is bounded per call, whatever the stack's width.
+FILL_FLAG_BYTES = 1 << 20
 
 _ST_H, _ST_E, _ST_F = 0, 1, 2
 
@@ -87,39 +117,42 @@ _GAP = np.uint8(ord("-"))
 
 
 def _walk_block(
-    flags: bytes, stride: int, n: int, m: int, affine: bool, start_state: int
-) -> list:
-    """Walk one lane's move flags from ``(n, m)`` back to ``(0, 0)``.
+    flags: bytes,
+    stride: int,
+    i: int,
+    j: int,
+    affine: bool,
+    start_state: int = _ST_H,
+    to_corner: bool = True,
+) -> tuple[list, int, int]:
+    """Walk one lane's move flags back from the end cell ``(i, j)``.
 
-    ``flags`` is the lane's flattened ``fill_block`` output (row stride
-    ``stride``).  Returns edit ops in forward order.  ``start_state`` lets
+    ``flags`` is the lane's flattened fill output (row stride ``stride``).
+    The H state stops on the top or left border, or on a ``START`` cell
+    (local fills only); ``to_corner`` then adds the forced border moves to
+    ``(0, 0)``, as a global block needs.  Returns the edit ops in forward
+    order and the cell the alignment starts at.  ``start_state`` lets
     Myers–Miller enter mid-gap (E state) when a vertical gap crosses the
     block boundary.
     """
-    i, j = n, m
     ops: list = []
     if affine:
         state = start_state
-        while i > 0 or j > 0:
+        while state != _ST_H or (i > 0 and j > 0):
             if state == _ST_H:
-                if i == 0:
-                    ops.append(_OP_LEFT)
-                    j -= 1
-                elif j == 0:
-                    ops.append(_OP_UP)
+                f = flags[i * stride + j]
+                if f & START:
+                    break
+                if f & DIAG:
+                    ops.append(_OP_DIAG)
                     i -= 1
-                else:
-                    f = flags[i * stride + j]
-                    if f & DIAG:
-                        ops.append(_OP_DIAG)
-                        i -= 1
-                        j -= 1
-                    elif f & H_E:
-                        state = _ST_E
-                    elif f & H_F:
-                        state = _ST_F
-                    else:  # pragma: no cover - matrix inconsistency
-                        raise AssertionError("traceback: no valid H move")
+                    j -= 1
+                elif f & H_E:
+                    state = _ST_E
+                elif f & H_F:
+                    state = _ST_F
+                else:  # pragma: no cover - matrix inconsistency
+                    raise AssertionError("traceback: no valid H move")
             elif state == _ST_E:
                 # Prefer extension: if the walker closed a gap that the H
                 # cell above immediately re-opens, consecutive UP ops would
@@ -140,28 +173,26 @@ def _walk_block(
                     state = _ST_H
                 j -= 1
     else:
-        while i > 0 or j > 0:
-            if i == 0:
-                ops.append(_OP_LEFT)
+        while i > 0 and j > 0:
+            f = flags[i * stride + j]
+            if f & START:
+                break
+            if f & DIAG:
+                ops.append(_OP_DIAG)
+                i -= 1
                 j -= 1
-            elif j == 0:
+            elif f & UP:
                 ops.append(_OP_UP)
                 i -= 1
             else:
-                f = flags[i * stride + j]
-                if f & DIAG:
-                    ops.append(_OP_DIAG)
-                    i -= 1
-                    j -= 1
-                elif f & UP:
-                    ops.append(_OP_UP)
-                    i -= 1
-                else:
-                    assert f & LEFT, "traceback: no valid move"
-                    ops.append(_OP_LEFT)
-                    j -= 1
+                assert f & LEFT, "traceback: no valid move"
+                ops.append(_OP_LEFT)
+                j -= 1
+    if to_corner:
+        ops += [_OP_UP] * i + [_OP_LEFT] * j
+        i = j = 0
     ops.reverse()
-    return ops
+    return ops, i, j
 
 
 def _pad(seqs: list) -> np.ndarray:
@@ -198,7 +229,7 @@ def _block_lanes(
         for lane, k in enumerate(filled):
             out[k] = _walk_block(
                 flags[lane].tobytes(), stride, qsegs[k].size, ssegs[k].size, affine, start
-            )
+            )[0]
     return out
 
 
@@ -286,6 +317,73 @@ def _segments(qs: list, ss: list, scheme: AlignmentScheme) -> list:
     return out
 
 
+def _flag_groups(qs: list, ss: list) -> list[list[int]]:
+    """Cut lanes, in order, into runs whose padded one-pass flags stay
+    within :data:`FILL_FLAG_BYTES` (a run always takes its first lane)."""
+    groups: list = []
+    n_max = m_max = 0
+    for k, (q, s) in enumerate(zip(qs, ss)):
+        n, m = q.size + 1, s.size + 1
+        if not groups or (len(groups[-1]) + 1) * max(n_max, n) * max(m_max, m) > FILL_FLAG_BYTES:
+            groups.append([])
+            n_max = m_max = 0
+        groups[-1].append(k)
+        n_max, m_max = max(n_max, n), max(m_max, m)
+    return groups
+
+
+def _one_pass(qs: list, ss: list, scheme: AlignmentScheme) -> list:
+    """``(i0, i1, j0, j1, score, ops)`` of lanes solved on their whole matrix:
+    one :func:`fill_best` fill per flag group, then one walk per lane from
+    its end cell."""
+    affine = scheme.scoring.gaps.is_affine
+    at = scheme.alignment_type
+    to_corner = at is AlignmentType.GLOBAL
+    out: list = [None] * len(qs)
+    for group in _flag_groups(qs, ss):
+        n = np.array([qs[k].size for k in group], dtype=np.int64)
+        m = np.array([ss[k].size for k in group], dtype=np.int64)
+        flags, score, (bi, bj) = fill_best(
+            _pad([qs[k] for k in group]), _pad([ss[k] for k in group]), scheme, n=n, m=m
+        )
+        stride = flags.shape[2]
+        for lane, k in enumerate(group):
+            i1, j1, best = int(bi[lane]), int(bj[lane]), int(score[lane])
+            if at is AlignmentType.LOCAL and best <= 0:
+                out[k] = (0, 0, 0, 0, best, [])
+                continue
+            ops, i0, j0 = _walk_block(
+                flags[lane].tobytes(), stride, i1, j1, affine, to_corner=to_corner
+            )
+            out[k] = (i0, i1, j0, j1, best, ops)
+    return out
+
+
+def _recursive(qs: list, ss: list, scheme: AlignmentScheme, cutoff: int) -> list:
+    """``(i0, i1, j0, j1, score, ops)`` of lanes above the cutoff: segment
+    sweeps, then a global block or the Hirschberg recursion per segment."""
+    if cutoff <= 0:
+        raise ValidationError("cutoff must be positive")
+    scoring = scheme.scoring
+    out = []
+    block = []
+    for k, (i0, i1, j0, j1, score) in enumerate(_segments(qs, ss, scheme)):
+        if i1 - i0 <= 1 or j1 - j0 <= 1 or (i1 - i0 + 1) * (j1 - j0 + 1) <= cutoff:
+            block.append(k)
+            ops = None
+        else:
+            ops = _hirschberg_ops(qs[k][i0:i1], ss[k][j0:j1], scoring, cutoff=cutoff)
+        out.append((i0, i1, j0, j1, score, ops))
+    walked = _block_lanes(
+        [qs[k][out[k][0] : out[k][1]] for k in block],
+        [ss[k][out[k][2] : out[k][3]] for k in block],
+        scoring,
+    )
+    for k, ops in zip(block, walked):
+        out[k] = out[k][:5] + (ops,)
+    return out
+
+
 def align_lanes(
     queries,
     subjects,
@@ -294,45 +392,35 @@ def align_lanes(
 ) -> list[AlignmentResult]:
     """Optimal alignments of L pairs, relaxed together as one lane stack.
 
-    Pairs may differ in shape (the stack is end-padded); the sweeps and the
-    block fill run once for all lanes, so the stack's memory is one uint8
-    flag per padded cell of the lanes solved as blocks.  Lane ``k`` equals
-    ``align_linear_space(queries[k], subjects[k], scheme, cutoff)``.
-    Callers bound L (see :func:`lane_parts`).
+    Pairs may differ in shape (the stack is end-padded).  Lanes whose whole
+    ``(n + 1) · (m + 1)`` matrix fits ``cutoff`` (every lane when it is
+    ``None``) are solved in one pass: one flag fill of all of them under
+    the scheme's own borders, then one walk per lane from its end cell.
+    The rest find their segment by two sweeps and recurse (Hirschberg /
+    Myers–Miller) down to ``cutoff``.  Which path a lane takes depends on
+    its own extents only, so lane ``k`` equals
+    ``align_linear_space(queries[k], subjects[k], scheme, cutoff)``.  Flag
+    memory is one uint8 per padded cell of the lanes solved as blocks;
+    callers bound L (see :func:`lane_parts`).
     """
     qs = [check_sequence(np.asarray(q, dtype=np.uint8), "query") for q in queries]
     ss = [check_sequence(np.asarray(s, dtype=np.uint8), "subject") for s in subjects]
     if len(qs) != len(ss):
         raise ValidationError("queries and subjects must pair up")
-    if not qs:
-        return []
-    scoring = scheme.scoring
-    segs = _segments(qs, ss, scheme)
-    ops: list = [[] for _ in qs]
-    block = []
-    for k, (i0, i1, j0, j1, _score) in enumerate(segs):
-        cells = (i1 - i0 + 1) * (j1 - j0 + 1)
-        if i1 == i0 and j1 == j0:
-            continue
-        eff_cutoff = cutoff if cutoff is not None else cells
-        if eff_cutoff <= 0:
-            raise ValidationError("cutoff must be positive")
-        if cells <= eff_cutoff or i1 - i0 <= 1 or j1 - j0 <= 1:
-            block.append(k)
-        else:
-            ops[k] = _hirschberg_ops(qs[k][i0:i1], ss[k][j0:j1], scoring, cutoff=eff_cutoff)
-    walked = _block_lanes(
-        [qs[k][segs[k][0] : segs[k][1]] for k in block],
-        [ss[k][segs[k][2] : segs[k][3]] for k in block],
-        scoring,
-    )
-    for k, lane_ops in zip(block, walked):
-        ops[k] = lane_ops
+    whole = [cutoff is None or (q.size + 1) * (s.size + 1) <= cutoff for q, s in zip(qs, ss)]
+    solved: list = [None] * len(qs)
+    for one_pass in (True, False):
+        ks = [k for k, fits in enumerate(whole) if fits is one_pass]
+        if ks:
+            lanes = ([qs[k] for k in ks], [ss[k] for k in ks], scheme)
+            got = _one_pass(*lanes) if one_pass else _recursive(*lanes, cutoff)
+            for k, lane in zip(ks, got):
+                solved[k] = lane
 
     kind = "hirschberg" if cutoff is not None else "block"
     results = []
-    for k, (i0, i1, j0, j1, score) in enumerate(segs):
-        qa, sa = _ops_to_strings(ops[k], qs[k][i0:i1], ss[k][j0:j1])
+    for k, (i0, i1, j0, j1, score, ops) in enumerate(solved):
+        qa, sa = _ops_to_strings(ops, qs[k][i0:i1], ss[k][j0:j1])
         results.append(
             AlignmentResult(
                 score=score,

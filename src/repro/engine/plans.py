@@ -99,10 +99,10 @@ class ExecutionPlan:
     ) -> np.ndarray:
         """Band-constrained scores of a stacked same-shape, same-band block.
 
-        Lane-capable backends sweep the whole stack with the compiled
-        (scheme, band)-specialized kernel; others make one one-lane call
-        of the same kernel per pair.  Bit-identical to
-        :meth:`score_banded` on each lane either way.
+        Every backend with banded support sweeps the whole stack in one
+        call of the compiled (scheme, band)-specialized kernel, the kernel
+        :meth:`score_banded` runs on one lane, so each lane is
+        bit-identical to :meth:`score_banded` on its pair.
         """
         if not self.caps.banded:
             from repro.util.checks import ValidationError
@@ -110,18 +110,9 @@ class ExecutionPlan:
             raise ValidationError(
                 f"backend {self.backend!r} does not support banded scoring"
             )
-        if self.lane_batching:
-            from repro.core.banded import banded_score_lanes
+        from repro.core.banded import banded_score_lanes
 
-            return banded_score_lanes(
-                qs, ss, self.scheme, band, widen=widen, dtype=self.dtype
-            )
-        from repro.core.banded import banded_score
-
-        return np.array(
-            [banded_score(q, s, self.scheme, band, widen=widen) for q, s in zip(qs, ss)],
-            dtype=np.int64,
-        )
+        return banded_score_lanes(qs, ss, self.scheme, band, widen=widen, dtype=self.dtype)
 
     @property
     def lane_traceback(self) -> bool:

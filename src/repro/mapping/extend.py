@@ -25,9 +25,11 @@ of a call, as lane-stack rounds (:func:`extend_hits`):
   is what the exhaustive oracle does unconditionally.
 
 Determinism note: within a slice, ``core.traceback`` breaks ties by the
-same sweep order as on the full window, so the certificate makes the
-banded path bit-identical to full-window traceback whenever the optimal
-placement is unique inside the window.  An exact equal-scoring repeat of
+same rule as on the full window (the end cell by the score sweep's scan
+order, then the one-pass walk's move order back to the border; see its
+module docstring), so the certificate makes the banded path
+bit-identical to full-window traceback whenever the optimal placement is
+unique inside the window.  An exact equal-scoring repeat of
 the read inside one window shares the read's k-mers, which widens the
 seed envelope to span both copies — so repeats resolve inside one slice
 with full-window tie order, not across slices.

@@ -186,8 +186,8 @@ class BandedVerifyStage:
 
     An explicit ``band`` is used as-is (auto-widened to feasibility for
     global schemes).  Every pair runs the one (scheme, band)-specialized
-    banded kernel: whole batches as a lane stack when the plan supports
-    lane batching, stragglers and lane-less plans as one-lane calls on
+    banded kernel: whole batches as a lane stack on any plan with banded
+    support, stragglers (and ``lane_verify=False``) as one-lane calls on
     1-D rows — :meth:`path_stats` accounts pairs/cells per path.  Batches
     must be band-uniform for the lane path to be exact, which the search
     pipeline guarantees by keying its batcher on :meth:`band_of`; as a
@@ -256,7 +256,7 @@ class BandedVerifyStage:
     def execute(self, batch: Batch) -> tuple[np.ndarray, dict]:
         band = self._batch_band(batch)
         plan = self.plan
-        lanes = self.lane_verify and len(batch) > 1 and plan.lane_batching
+        lanes = self.lane_verify and len(batch) > 1
         if lanes:
             qs, ss = batch.stacked()
             scores = np.asarray(

@@ -23,7 +23,7 @@ from repro.core.recurrence import score_reference
 from repro.core.scoring import affine_gap_scoring, semiglobal_scheme, simple_subst_scoring
 from repro.engine import ExecutionEngine, PlanCache
 from repro.engine.batching import ShapeBatcher
-from repro.engine.stages import Request
+from repro.engine.stages import Batch, Request
 from repro.search.pipeline import BandedVerifyStage, search
 from repro.search.seeds import QueryIndex, kmer_codes
 from repro.util.checks import ValidationError
@@ -250,6 +250,39 @@ class TestSimulatedBackendBanded:
         got = plan.score_banded_block(qs, ss, 10)
         want = [_masked_reference_banded(q, s, SEMI_LIN, 10) for q, s in zip(qs, ss)]
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("scheme", [SEMI_AFF, AFF], ids=["semi-affine", "affine"])
+    @pytest.mark.parametrize("backend", ["gpu", "fpga"])
+    def test_lane_less_block_is_one_stack_call(self, backend, scheme, monkeypatch):
+        # Backends without lane batching still sweep a banded block as one
+        # lane stack of the kernel score_banded runs on one lane.
+        import repro.core.banded as banded
+
+        plan = ExecutionEngine(scheme, plan_cache=PlanCache(), backend=backend).plan_for(backend)
+        assert not plan.lane_batching
+        rng = np.random.default_rng(59)
+        qs = rng.integers(0, 4, (16, 30)).astype(np.uint8)
+        ss = rng.integers(0, 4, (16, 45)).astype(np.uint8)
+        calls = []
+
+        def counted(queries, *args, **kwargs):
+            calls.append(np.shape(queries))
+            return real(queries, *args, **kwargs)
+
+        real = banded.banded_score_lanes
+        monkeypatch.setattr(banded, "banded_score_lanes", counted)
+        got = plan.score_banded_block(qs, ss, 8, widen=True)
+        assert calls == [(16, 30)]
+        assert got.dtype == np.int64
+        assert got.tolist() == [
+            plan.score_banded(q, s, 8, widen=True) for q, s in zip(qs, ss)
+        ]
+        monkeypatch.undo()
+        stage = BandedVerifyStage(plan, 8)
+        reqs = [Request(k, q, s) for k, (q, s) in enumerate(zip(qs, ss))]
+        scores, _ = stage.execute(Batch(shape=(30, 45), requests=reqs))
+        assert scores.tolist() == got.tolist()
+        assert stage.path_stats()["lanes"]["pairs"] == 16
 
 
 class TestSearchRouting:

@@ -89,17 +89,37 @@ def _ref_flags(q, s, scoring):
     return ref, bits
 
 
-def _matrix_walk(q, s, scoring):
-    """Aligned strings of a global block walked over full score matrices.
+def _matrix_end(H, scheme):
+    """The end cell a strict-improvement scan of ``H`` picks (the tie rule)."""
+    n, m = H.shape[0] - 1, H.shape[1] - 1
+    at = scheme.alignment_type.value
+    if at == "global":
+        return n, m
+    if at == "local":
+        return divmod(int(np.argmax(H)), m + 1)
+    i = int(np.argmax(H[:, m]))
+    j = int(np.argmax(H[n]))
+    return (n, j) if H[n, j] > H[i, m] else (i, m)
+
+
+def _matrix_walk(q, s, scheme):
+    """``(query_aligned, subject_aligned, i0, i1, j0, j1)`` walked over full
+    score matrices.
 
     The walker as it ran on H/E/F before move flags, here over the
-    reference matrices: the diagonal first, then E, then F; a gap state
-    extends before it closes.
+    reference matrices of the scheme: from the end cell, the diagonal
+    first, then E, then F; a gap state extends before it closes.  The H
+    state stops on the top or left border, or (local) where H is 0; a
+    global walk goes on along the border to the corner.
     """
-    ref = dp_matrices(q, s, global_scheme(scoring))
+    scoring = scheme.scoring
+    ref = dp_matrices(q, s, scheme)
     H, E, F = ref.H, ref.E, ref.F
     table = scoring.subst.table
-    i, j, state = q.size, s.size, "H"
+    glob = scheme.alignment_type.value == "global"
+    local = scheme.alignment_type.value == "local"
+    i1, j1 = _matrix_end(H, scheme)
+    i, j, state = i1, j1, "H"
     qa, sa = [], []
 
     def step(di, dj):
@@ -107,10 +127,14 @@ def _matrix_walk(q, s, scoring):
         sa.append("ACGT"[s[j - 1]] if dj else "-")
         return i - di, j - dj
 
-    while i > 0 or j > 0:
+    while True:
         if state == "H":
             if i == 0 or j == 0:
+                if not glob or i == j == 0:
+                    break
                 i, j = step(int(i > 0), int(i == 0))
+            elif local and H[i, j] == 0:
+                break
             elif H[i, j] == H[i - 1, j - 1] + table[q[i - 1], s[j - 1]]:
                 i, j = step(1, 1)
             elif scoring.is_affine and H[i, j] == E[i, j]:
@@ -129,7 +153,7 @@ def _matrix_walk(q, s, scoring):
             if not (j > 1 and F[i, j] == F[i, j - 1] + scoring.gaps.extend):
                 state = "H"
             i, j = step(0, 1)
-    return "".join(reversed(qa)), "".join(reversed(sa))
+    return "".join(reversed(qa)), "".join(reversed(sa)), i, i1, j, j1
 
 
 class TestFillBlock:
@@ -172,7 +196,35 @@ class TestFillBlock:
             q = rng.choice([0, 0, 0, 1], int(rng.integers(1, 25))).astype(np.uint8)
             s = rng.choice([0, 0, 0, 1], int(rng.integers(1, 25))).astype(np.uint8)
             res = align_block(q, s, global_scheme(scoring))
-            assert (res.query_aligned, res.subject_aligned) == _matrix_walk(q, s, scoring)
+            assert (res.query_aligned, res.subject_aligned) == _matrix_walk(
+                q, s, global_scheme(scoring)
+            )[:2]
+
+    @pytest.mark.parametrize(
+        "name", ["local-linear", "local-affine", "semiglobal-linear", "semiglobal-affine"]
+    )
+    def test_one_pass_walk_matches_matrix_walk(self, name):
+        # A read-scale local or semi-global lane is one fill of its whole
+        # matrix and one walk from the end cell: the alignment, start cell
+        # included, is the one the matrix walk under the tie rule picks.
+        # Low-entropy pairs make many co-optimal paths; uniform ones put
+        # zero-floor cells on them.
+        scheme = SCHEMES[name]
+        rng = np.random.default_rng(67)
+        for alphabet in ([0, 0, 0, 1],) * 40 + ([0, 1, 2, 3],) * 40:
+            q = rng.choice(alphabet, int(rng.integers(1, 25))).astype(np.uint8)
+            s = rng.choice(alphabet, int(rng.integers(1, 25))).astype(np.uint8)
+            want = _matrix_walk(q, s, scheme)
+            for res in (align_block(q, s, scheme), align_linear_space(q, s, scheme)):
+                got = (
+                    res.query_aligned,
+                    res.subject_aligned,
+                    res.query_start,
+                    res.query_end,
+                    res.subject_start,
+                    res.subject_end,
+                )
+                assert got == want
 
     def test_top_open_linear_rejected(self):
         with pytest.raises(ValueError):
@@ -442,6 +494,53 @@ class TestLaneEdgeCases:
         got = align_lanes([encode(q) for q in qs], [encode(s) for s in ss], scheme, cutoff=64)
         assert "-" * 30 in got[0].subject_aligned
         _assert_lanes_match_singles(qs, ss, scheme, 64)
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_above_cutoff_lane_next_to_one_pass_lanes(self, name, monkeypatch):
+        # Each lane picks its path by its own extents: the one lane whose
+        # matrix passes the cutoff goes through the segment sweeps and the
+        # recursion, its one-pass neighbours do not, and every lane still
+        # equals its single-pair call.
+        import repro.core.traceback as tb
+
+        scheme = SCHEMES[name]
+        rng = np.random.default_rng(71)
+        big = _homopolymer([("ACGT"[int(b)], int(k)) for b, k in rng.integers(1, 4, (12, 2))])
+        qs = ["ACGTA", big, "AAT", "CCAG"]
+        ss = ["AACGT", big[3:] + "GATTACA", "AT", "CAAG"]
+        segmented = []
+        segments = tb._segments
+        monkeypatch.setattr(
+            tb, "_segments", lambda q, s, sch: segmented.append(len(q)) or segments(q, s, sch)
+        )
+        _assert_lanes_match_singles(qs, ss, scheme, 48)
+        # The stacked call segments only the big lane; so does its own call.
+        assert segmented[0] == 1 and all(count == 1 for count in segmented)
+
+    @pytest.mark.parametrize("name", ["local-affine", "semiglobal-linear"])
+    def test_one_pass_fill_groups_stay_within_flag_budget(self, name, monkeypatch):
+        # A stack whose whole-matrix flags pass the budget is filled in
+        # lane groups, one after another; each lane is unchanged.
+        import repro.core.traceback as tb
+
+        monkeypatch.setattr(tb, "FILL_FLAG_BYTES", 400)
+        padded = []
+        fill = tb.fill_best
+        monkeypatch.setattr(
+            tb,
+            "fill_best",
+            lambda q, s, *a, **k: padded.append(q.shape[0] * (q.shape[1] + 1) * (s.shape[1] + 1))
+            or fill(q, s, *a, **k),
+        )
+        rng = np.random.default_rng(73)
+        qs = [random_dna_str(rng, int(rng.integers(1, 15))) for _ in range(12)]
+        ss = [random_dna_str(rng, int(rng.integers(1, 25))) for _ in range(12)]
+        got = align_lanes([encode(q) for q in qs], [encode(s) for s in ss], SCHEMES[name])
+        assert len(padded) > 1 and max(padded) <= 400
+        monkeypatch.undo()
+        want = align_lanes([encode(q) for q in qs], [encode(s) for s in ss], SCHEMES[name])
+        assert [_fields(r) for r in got] == [_fields(r) for r in want]
+        _assert_lanes_match_singles(qs, ss, SCHEMES[name], None)
 
     @pytest.mark.parametrize("top_open", [False, True])
     @pytest.mark.parametrize("bottom_open", [False, True])
